@@ -32,16 +32,18 @@
 //!
 //! Flags / environment:
 //! * `--smoke` — force the small scale and exit nonzero if any emitted
-//!   row is missing the speedup / cache-hit-rate / thread-count /
-//!   cegar-rounds / blocks-validated / session-rebuilds / warm-reuse /
-//!   phase-breakdown fields, if no warm reuse was observed at all, if
-//!   `warm_speedup` lands below 1.0 on *every* row (a warm re-run losing
-//!   everywhere means engine reuse regressed), if the witness corpus
-//!   regressed, if a redirect_case mutant is not refuted with a confirmed
-//!   witness, or if the run regresses against the rolling history
-//!   baseline (median of the last 5 comparable snapshots): total runtime
-//!   above 2× the baseline, or the best warm speedup collapsing below
-//!   1.0 when the baseline held it at ≥ 1.0 (CI runs this).
+//!   row is missing the WP-count / speedup / cache-hit-rate /
+//!   thread-count / cegar-rounds / blocks-validated / session-rebuilds /
+//!   warm-reuse / phase-breakdown fields, if any row makes more than
+//!   twice as many WP calls as it generates preconditions, if no warm
+//!   reuse was observed at all, if `warm_speedup` lands below 1.0 on
+//!   *every* row (a warm re-run losing everywhere means engine reuse
+//!   regressed), if the witness corpus regressed, if a redirect_case
+//!   mutant is not refuted with a confirmed witness, or if the run
+//!   regresses against the rolling history baseline (median of the last
+//!   5 comparable snapshots): total runtime above 2× the baseline, or the
+//!   best warm speedup collapsing below 1.0 when the baseline held it at
+//!   ≥ 1.0 (CI runs this).
 //! * `--batch` — additionally pre-run the whole standard table through
 //!   `Engine::check_batch` (the serving API) on the table-wide engine;
 //!   any batched verdict disagreeing with the per-row expectation fails
@@ -560,6 +562,8 @@ fn main() {
     // Smoke validation: every row must report the pipeline fields,
     // including the warm-reuse columns.
     for key in [
+        "\"wp_generated\"",
+        "\"wp_calls\"",
         "\"speedup\"",
         "\"blast_cache_hit_rate\"",
         "\"threads\"",
@@ -586,6 +590,17 @@ fn main() {
             failures.push(format!(
                 "{key} present in {have}/{} emitted rows",
                 measured.len()
+            ));
+        }
+    }
+    // WP is computed only for predecessors that can step into the guard,
+    // so nearly every call yields a precondition. A sweep over the whole
+    // scope shows up here as a 10-300x ratio, through counters alone.
+    for (r, _) in &measured {
+        if r.wp_calls > 2 * r.wp_generated {
+            failures.push(format!(
+                "\"{}\": {} WP calls for {} generated preconditions (more than 2x)",
+                r.name, r.wp_calls, r.wp_generated
             ));
         }
     }

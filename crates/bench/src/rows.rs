@@ -34,6 +34,12 @@ pub struct RowResult {
     pub queries: u64,
     /// Relation size |R|.
     pub relation_size: u64,
+    /// Weakest preconditions generated.
+    pub wp_generated: u64,
+    /// Weakest-precondition computations attempted; at most a small
+    /// multiple of `wp_generated` while only predecessors that can step
+    /// into a guard are visited.
+    pub wp_calls: u64,
     /// Fraction of queries within 5 s (paper §7.3 reports 99%).
     pub queries_within_5s: f64,
     /// Worker threads the frontier ran on.
@@ -264,7 +270,8 @@ pub fn rows_to_json(
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"states\": {}, \"branched_bits\": {}, \
              \"total_bits\": {}, \"runtime_secs\": {:.6}, \"peak_bytes\": {}, \
-             \"verified\": {}, \"relation_size\": {}, \"queries\": {}, \
+             \"verified\": {}, \"relation_size\": {}, \"wp_generated\": {}, \
+             \"wp_calls\": {}, \"queries\": {}, \
              \"queries_within_5s\": {:.4}, \"threads\": {}, \
              \"blast_cache_hit_rate\": {:.4}, \"index_hit_rate\": {:.4}, \
              \"speedup\": {}, \"cegar_rounds\": {}, \"blocks_validated\": {}, \
@@ -284,6 +291,8 @@ pub fn rows_to_json(
             peak.map(|p| p.to_string()).unwrap_or_else(|| "null".into()),
             row.verified,
             row.relation_size,
+            row.wp_generated,
+            row.wp_calls,
             row.queries,
             row.queries_within_5s,
             row.threads,
@@ -369,6 +378,8 @@ fn finish(
         verified,
         queries: stats.queries.queries,
         relation_size: stats.extended,
+        wp_generated: stats.wp_generated,
+        wp_calls: stats.wp_calls,
         queries_within_5s: stats.queries.fraction_within(Duration::from_secs(5)),
         threads: stats.threads,
         blast_cache_hit_rate: stats.queries.blast_cache_hit_rate(),
@@ -409,6 +420,8 @@ mod tests {
         let row = run_row(&bench, Options::default());
         assert!(row.verified, "state rearrangement must verify");
         assert!(row.queries > 0);
+        assert!(row.wp_generated > 0);
+        assert!(row.wp_calls <= 2 * row.wp_generated);
         let cert = row
             .certificate
             .as_deref()
@@ -433,6 +446,8 @@ mod tests {
         row.certcheck_secs = Some(0.125);
         let json = rows_to_json(&[(row, Some(1024))], true, Some(1.5), 4);
         for key in [
+            "\"wp_generated\"",
+            "\"wp_calls\"",
             "\"threads\"",
             "\"blast_cache_hit_rate\"",
             "\"index_hit_rate\"",

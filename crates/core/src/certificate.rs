@@ -29,7 +29,7 @@ use std::fmt;
 
 use leapfrog_logic::confrel::ConfRel;
 use leapfrog_logic::lower::entails_stateless;
-use leapfrog_logic::reach::reachable_pairs;
+use leapfrog_logic::reach::{reachable_pairs, PredecessorIndex};
 use leapfrog_logic::wp::wp;
 use leapfrog_p4a::ast::Automaton;
 
@@ -128,11 +128,20 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertificateError
     }
 
     // (3) Step closure: for every ρ ∈ R and reachable predecessor pair,
-    // ⋀R ⊨ wp(ρ). Checked in parallel — the obligations are independent.
+    // ⋀R ⊨ wp(ρ). Only pairs that can step into ρ's guard have a
+    // nonvacuous WP; the index yields them in scope order, so obligations
+    // keep the order of a whole-scope sweep. Checked in parallel — the
+    // obligations are independent.
+    let preds = PredecessorIndex::new(aut, &scope, cert.leaps);
     let obligations: Vec<ConfRel> = cert
         .relation
         .iter()
-        .flat_map(|rho| scope.iter().filter_map(|p| wp(aut, rho, p, cert.leaps)))
+        .flat_map(|rho| {
+            preds
+                .predecessors(rho.guard)
+                .iter()
+                .filter_map(|&i| wp(aut, rho, &scope[i], cert.leaps))
+        })
         .collect();
     let failure = parallel_find_failure(aut, &cert.relation, &obligations);
     if let Some(bad) = failure {

@@ -55,12 +55,12 @@ use leapfrog_cex::{build_witness, Refutation, Witness};
 use leapfrog_logic::confrel::ConfRel;
 use leapfrog_logic::incremental::{SessionConfig, SessionPool};
 use leapfrog_logic::lower;
-use leapfrog_logic::reach::reachable_pairs;
+use leapfrog_logic::reach::{reachable_pairs, unpruned_pairs, PredecessorIndex};
 use leapfrog_logic::store::RelationStore;
-use leapfrog_logic::templates::{all_templates, Template, TemplatePair};
+use leapfrog_logic::templates::{Template, TemplatePair};
 use leapfrog_logic::wp::wp;
 use leapfrog_obs::{trace, Phase};
-use leapfrog_p4a::ast::{Automaton, StateId, Target};
+use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::sum::{sum, Sum};
 use leapfrog_smt::{
     CheckResult, InstLedger, PortfolioConfig, QueryStats, SharedBlastCache, SmtSolver,
@@ -526,8 +526,9 @@ struct PairState {
     /// Generation tag matching the [`PairId`]s handed out for this
     /// occupancy of the slot (slots are reused after eviction).
     generation: u64,
-    /// Scope sets keyed by `(leaps, reach_pruning)`.
-    scopes: HashMap<(bool, bool), Arc<Vec<TemplatePair>>>,
+    /// Scope sets and their predecessor indexes, keyed by
+    /// `(leaps, reach_pruning)`.
+    scopes: HashMap<(bool, bool), Scope>,
     /// Warm session pools + verdict memos keyed by query shape.
     warm: HashMap<WarmKey, WarmState>,
     /// Queries answered over this pair (0 = its artifacts were built but
@@ -535,6 +536,15 @@ struct PairState {
     runs: u64,
     /// Recency tick for the LRU pair-eviction policy.
     last_used: u64,
+}
+
+/// The template pairs a query considers, plus the index of which of them
+/// can step into each guard — the only predecessors whose weakest
+/// precondition is not vacuous.
+#[derive(Clone)]
+struct Scope {
+    pairs: Arc<Vec<TemplatePair>>,
+    preds: Arc<PredecessorIndex>,
 }
 
 /// A cheap structural fingerprint of a query pair, used to index the
@@ -776,6 +786,7 @@ pub struct Engine {
     tick: u64,
     stats: EngineStats,
     last_run: RunStats,
+    last_batch: Vec<RunStats>,
     sink: Option<Box<dyn WitnessSink>>,
     state_report: Option<String>,
     /// Label attached to the next query's slow-log record (a suite row
@@ -907,6 +918,7 @@ impl Engine {
             tick: 0,
             stats: EngineStats::default(),
             last_run: RunStats::default(),
+            last_batch: Vec::new(),
             sink: None,
             state_report: None,
             query_label: None,
@@ -957,6 +969,12 @@ impl Engine {
     /// merged in submission order).
     pub fn last_run_stats(&self) -> &RunStats {
         &self.last_run
+    }
+
+    /// Each member's own statistics from the most recent
+    /// [`Engine::check_batch`], in submission order.
+    pub fn last_batch_stats(&self) -> &[RunStats] {
+        &self.last_batch
     }
 
     /// Attaches a recipient for confirmed refutation witnesses found by
@@ -1258,7 +1276,7 @@ impl Engine {
     /// The reachable template pairs of a prepared pair under the engine's
     /// leap setting, memoized for the engine's lifetime.
     pub fn reachable(&mut self, pid: PairId) -> Arc<Vec<TemplatePair>> {
-        self.scope_for(pid, self.config.leaps, true).0
+        self.scope_for(pid, self.config.leaps, true).0.pairs
     }
 
     /// The standard language-equivalence request for a prepared pair under
@@ -1458,7 +1476,9 @@ impl Engine {
     /// group so the later ones hit that pair's warm state. With one
     /// thread the batch runs sequentially and still reuses everything.
     /// Outcomes are returned in submission order and are bit-identical to
-    /// checking each spec individually.
+    /// checking each spec individually; each spec's own statistics land in
+    /// [`Engine::last_batch_stats`], the merged record in
+    /// [`Engine::last_run_stats`].
     ///
     /// # Example
     ///
@@ -1479,12 +1499,14 @@ impl Engine {
         meters::BATCHES.inc();
         let threads = self.config.effective_threads();
         let mut outcomes: Vec<Option<Outcome>> = (0..specs.len()).map(|_| None).collect();
+        let mut members: Vec<RunStats> = vec![RunStats::default(); specs.len()];
         let mut merged = RunStats::default();
         if threads <= 1 {
             // Sequential batch: inner per-query parallelism is moot at one
             // thread, and warm reuse across duplicate specs still applies.
             for (i, s) in specs.iter().enumerate() {
                 outcomes[i] = Some(self.check(&s.left, s.ql, &s.right, s.qr));
+                members[i] = self.last_run.clone();
                 merged.merge(&self.last_run);
             }
         } else {
@@ -1511,13 +1533,16 @@ impl Engine {
             struct GroupTask {
                 pid: PairId,
                 aut: Automaton,
-                scope: Arc<Vec<TemplatePair>>,
+                scope: Scope,
                 req: QueryRequest,
                 warm: WarmState,
                 /// This pair's run count before the batch — the group's
                 /// first query reports sum reuse iff it is nonzero; later
                 /// group members always reuse.
                 prior_runs: u64,
+                /// Whether the group's first query found the scope memoized
+                /// (later group members always do).
+                reach_hit: bool,
                 indices: Vec<usize>,
                 results: Vec<(usize, Outcome, RunStats)>,
             }
@@ -1528,7 +1553,6 @@ impl Engine {
                 .map(|(pid, indices)| {
                     let (scope, reach_hit) =
                         self.scope_for(pid, inner_opts.leaps, inner_opts.reach_pruning);
-                    merged.reach_cache_hits += reach_hit as u64;
                     let mut req = self.standard_request(pid);
                     req.options = inner_opts;
                     let key = WarmKey::of(&req);
@@ -1542,6 +1566,7 @@ impl Engine {
                         scope,
                         req,
                         prior_runs,
+                        reach_hit,
                         indices,
                         results: Vec::new(),
                     }
@@ -1590,14 +1615,17 @@ impl Engine {
                 task.warm.last_used = self.tick;
                 self.pair_mut(task.pid).warm.insert(key, task.warm);
                 for (j, (qi, outcome, mut stats)) in task.results.drain(..).enumerate() {
-                    stats.sum_cache_hits = if j == 0 {
-                        (task.prior_runs > 0) as u64
+                    let (sum_hit, reach_hit) = if j == 0 {
+                        (task.prior_runs > 0, task.reach_hit)
                     } else {
-                        1
+                        (true, true)
                     };
+                    stats.sum_cache_hits = sum_hit as u64;
+                    stats.reach_cache_hits = reach_hit as u64;
                     self.absorb_run(&stats);
                     merged.merge(&stats);
                     outcomes[qi] = Some(outcome);
+                    members[qi] = stats;
                 }
             }
             if trace::collector().enabled() {
@@ -1605,6 +1633,7 @@ impl Engine {
             }
         }
         self.last_run = merged;
+        self.last_batch = members;
         self.enforce_caps();
         let outcomes: Vec<Outcome> = outcomes.into_iter().map(Option::unwrap).collect();
         if let Some(sink) = self.sink.as_mut() {
@@ -1617,46 +1646,24 @@ impl Engine {
         outcomes
     }
 
-    /// The template pairs a query over `pid` considers, memoized per
-    /// `(leaps, reach_pruning)`. The second component reports whether the
-    /// set was served from the memo.
-    fn scope_for(
-        &mut self,
-        pid: PairId,
-        leaps: bool,
-        reach_pruning: bool,
-    ) -> (Arc<Vec<TemplatePair>>, bool) {
+    /// The template pairs a query over `pid` considers and their
+    /// predecessor index, memoized per `(leaps, reach_pruning)`. The second
+    /// component reports whether the scope was served from the memo.
+    fn scope_for(&mut self, pid: PairId, leaps: bool, reach_pruning: bool) -> (Scope, bool) {
         let pair = self.pair_mut(pid);
         if let Some(s) = pair.scopes.get(&(leaps, reach_pruning)) {
             return (s.clone(), true);
         }
         let _reach_span = trace::span(Phase::Reach);
-        let scope: Vec<TemplatePair> = if reach_pruning {
+        let scope = if reach_pruning {
             reachable_pairs(&pair.sum.automaton, &[pair.root], leaps)
         } else {
-            // The full product of left-side and right-side templates
-            // (left-parser states never appear on the right, so restrict
-            // each side to its own parser's states plus accept/reject).
-            let side_templates = |left: bool| -> Vec<Template> {
-                all_templates(&pair.sum.automaton)
-                    .into_iter()
-                    .filter(|t| match t.target {
-                        Target::State(q) => pair.sum.is_left_state(q) == left,
-                        _ => true,
-                    })
-                    .collect()
-            };
-            let ls = side_templates(true);
-            let rs = side_templates(false);
-            let mut out = Vec::with_capacity(ls.len() * rs.len());
-            for l in &ls {
-                for r in &rs {
-                    out.push(TemplatePair::new(*l, *r));
-                }
-            }
-            out
+            unpruned_pairs(&pair.sum)
         };
-        let scope = Arc::new(scope);
+        let scope = Scope {
+            preds: Arc::new(PredecessorIndex::new(&pair.sum.automaton, &scope, leaps)),
+            pairs: Arc::new(scope),
+        };
         pair.scopes.insert((leaps, reach_pruning), scope.clone());
         (scope, false)
     }
@@ -1684,7 +1691,7 @@ fn pool_stats(main: &SessionPool, workers: &[SessionPool]) -> QueryStats {
 #[allow(clippy::too_many_arguments)]
 fn run_worklist(
     aut: &Automaton,
-    scope: &[TemplatePair],
+    scope: &Scope,
     req: &QueryRequest,
     warm: &mut WarmState,
     cache: &SharedBlastCache,
@@ -1695,7 +1702,7 @@ fn run_worklist(
     let start = Instant::now();
     let opts = &req.options;
     let threads = opts.effective_threads();
-    stats.scope_pairs = scope.len();
+    stats.scope_pairs = scope.pairs.len();
     stats.threads = threads;
     stats.sessions_reused = warm.session_count() as u64;
     warm.runs += 1;
@@ -1739,7 +1746,7 @@ fn run_worklist(
     let mut seen: HashMap<Arc<ConfRel>, usize> = HashMap::new();
     let mut init: Vec<ConfRel> = Vec::new();
     if req.standard_init {
-        for p in scope {
+        for p in scope.pairs.iter() {
             if p.left.is_accepting() != p.right.is_accepting() {
                 init.push(ConfRel::forbidden(*p));
             }
@@ -1884,8 +1891,11 @@ fn run_worklist(
                     return Outcome::NotEquivalent(refutation);
                 }
             }
-            for pred in scope {
-                if let Some(chi) = wp(aut, &psi, pred, opts.leaps) {
+            // Only predecessors that can step into ψ's guard have a
+            // nonvacuous WP; the index lists them in scope order.
+            for &pos in scope.preds.predecessors(psi.guard) {
+                stats.wp_calls += 1;
+                if let Some(chi) = wp(aut, &psi, &scope.pairs[pos], opts.leaps) {
                     stats.wp_generated += 1;
                     if !seen.contains_key(&chi) {
                         let cid = prov.len();

@@ -19,6 +19,9 @@ pub struct RunStats {
     pub skipped: u64,
     /// Weakest preconditions generated.
     pub wp_generated: u64,
+    /// Weakest-precondition computations attempted (`wp_generated` plus
+    /// the ones that came back vacuous).
+    pub wp_calls: u64,
     /// Template pairs in scope (after reachability pruning, if enabled).
     pub scope_pairs: usize,
     /// Largest pure-formula size encountered (structural nodes).
@@ -111,6 +114,7 @@ impl RunStats {
         self.extended += other.extended;
         self.skipped += other.skipped;
         self.wp_generated += other.wp_generated;
+        self.wp_calls += other.wp_calls;
         self.scope_pairs = self.scope_pairs.max(other.scope_pairs);
         self.max_formula_size = self.max_formula_size.max(other.max_formula_size);
         self.witnesses_confirmed += other.witnesses_confirmed;
@@ -137,7 +141,8 @@ impl RunStats {
         let portfolio = if self.queries.portfolio.lanes >= 2 {
             // Defensive clamp: `lanes` may come from a decoded stats frame,
             // and formatting must not panic on an out-of-range value.
-            let lanes = (self.queries.portfolio.lanes as usize).min(self.queries.portfolio.wins.len());
+            let lanes =
+                (self.queries.portfolio.lanes as usize).min(self.queries.portfolio.wins.len());
             format!(
                 " portfolio(lanes={} races={} solo={} wins={:?})",
                 self.queries.portfolio.lanes,
@@ -159,7 +164,7 @@ impl RunStats {
             String::new()
         };
         format!(
-            "iterations={} extended={} skipped={} wp={} scope={} queries={} \
+            "iterations={} extended={} skipped={} wp={} wp_calls={} scope={} queries={} \
              threads={} index_hit={:.0}% blast_cache={:.0}% cegar_rounds={} \
              oracle_skip={:.0}% rebuilds={} peak_clauses={} warm(sessions={} \
              memo={} sum={} reach={} ledger={}) time={:.2?}{}{}",
@@ -167,6 +172,7 @@ impl RunStats {
             self.extended,
             self.skipped,
             self.wp_generated,
+            self.wp_calls,
             self.scope_pairs,
             self.queries.queries,
             self.threads,

@@ -12,7 +12,8 @@
 //! * [`templates`] — templates `⟨q, n⟩`, leap sizes (Definition 5.3) and
 //!   template successors (the abstract interpretation `σ` of §5.1);
 //! * [`reach`] — the reachable-template-pair analysis `reach_φ` (§5.1),
-//!   with or without leaps (§5.3);
+//!   with or without leaps (§5.3), and the successor→predecessor index
+//!   that limits weakest preconditions to pairs stepping into a guard;
 //! * [`mod@wp`] — weakest preconditions `WP<`/`WP>` over template-guarded
 //!   formulas (§4.3), generalized to leaps (Theorem 5.7): symbolic
 //!   execution of operation blocks and first-match select conditions;
@@ -35,7 +36,7 @@ pub mod wp;
 pub use confrel::{BitExpr, ConfRel, Pure, Side, VarId};
 pub use incremental::{GuardSession, SessionPool};
 pub use lower::{entails, entails_filtered, EntailmentQuery};
-pub use reach::reachable_pairs;
+pub use reach::{reachable_pairs, PredecessorIndex};
 pub use store::RelationStore;
 pub use templates::{leap_size, successor_pairs, Template, TemplatePair};
 pub use wp::wp;

@@ -7,12 +7,17 @@
 //! worklist algorithm then only generates initial conditions and weakest
 //! preconditions for reachable pairs, which the paper reports as essential
 //! ("it did not finish without reachable state pruning").
+//!
+//! [`PredecessorIndex`] refines the pruning per successor guard: a weakest
+//! precondition of `ψ` is nonvacuous only at the scope pairs that can step
+//! into `ψ.guard`, so the worklist visits those pairs alone.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use leapfrog_p4a::ast::Automaton;
+use leapfrog_p4a::ast::{Automaton, Target};
+use leapfrog_p4a::sum::Sum;
 
-use crate::templates::{successor_pairs, TemplatePair};
+use crate::templates::{all_templates, successor_pairs, Template, TemplatePair};
 
 /// Computes the set of template pairs reachable from `roots` under the
 /// leap-successor abstraction (or bit-level successors when `leaps` is
@@ -30,11 +35,63 @@ pub fn reachable_pairs(aut: &Automaton, roots: &[TemplatePair], leaps: bool) -> 
     seen.into_iter().collect()
 }
 
+/// The scope without reachability pruning: every left-side template paired
+/// with every right-side template. Left-parser states never appear on the
+/// right, so each side ranges over its own parser's states plus
+/// accept/reject.
+pub fn unpruned_pairs(sum: &Sum) -> Vec<TemplatePair> {
+    let side_templates = |left: bool| -> Vec<Template> {
+        all_templates(&sum.automaton)
+            .into_iter()
+            .filter(|t| match t.target {
+                Target::State(q) => sum.is_left_state(q) == left,
+                _ => true,
+            })
+            .collect()
+    };
+    let rs = side_templates(false);
+    side_templates(true)
+        .into_iter()
+        .flat_map(|l| rs.iter().map(move |r| TemplatePair::new(l, *r)))
+        .collect()
+}
+
+/// The successor→predecessor index of a scope: for each template pair, the
+/// positions (in scope order) of the scope pairs that can step into it by
+/// one leap (or one bit when `leaps` is false).
+///
+/// [`crate::wp::wp`] returns `None` unless `ψ.guard` is among
+/// [`successor_pairs`] of the predecessor, so sweeping
+/// [`PredecessorIndex::predecessors`] of `ψ.guard` in place of the whole
+/// scope yields the same preconditions in the same order.
+#[derive(Debug, Clone)]
+pub struct PredecessorIndex {
+    preds: HashMap<TemplatePair, Vec<usize>>,
+}
+
+impl PredecessorIndex {
+    /// Builds the index with one [`successor_pairs`] pass over `scope`.
+    pub fn new(aut: &Automaton, scope: &[TemplatePair], leaps: bool) -> PredecessorIndex {
+        let mut preds: HashMap<TemplatePair, Vec<usize>> = HashMap::new();
+        for (pos, p) in scope.iter().enumerate() {
+            for s in successor_pairs(aut, p, leaps) {
+                preds.entry(s).or_default().push(pos);
+            }
+        }
+        PredecessorIndex { preds }
+    }
+
+    /// The scope positions, strictly increasing, of the pairs that can
+    /// step into `guard` (empty when none can).
+    pub fn predecessors(&self, guard: TemplatePair) -> &[usize] {
+        self.preds.get(&guard).map_or(&[], Vec::as_slice)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::templates::Template;
-    use leapfrog_p4a::ast::{Expr, Target};
+    use leapfrog_p4a::ast::Expr;
     use leapfrog_p4a::builder::Builder;
     use leapfrog_p4a::sum::sum;
 
@@ -116,6 +173,29 @@ mod tests {
         assert!(reach.contains(&rr));
         // reject/reject is a fixpoint.
         assert_eq!(successor_pairs(&aut, &rr, true), vec![rr]);
+    }
+
+    #[test]
+    fn predecessor_index_inverts_successors_in_scope_order() {
+        let (aut, root) = fixture();
+        for leaps in [true, false] {
+            let scope = reachable_pairs(&aut, &[root], leaps);
+            let index = PredecessorIndex::new(&aut, &scope, leaps);
+            for (pos, p) in scope.iter().enumerate() {
+                for s in successor_pairs(&aut, p, leaps) {
+                    assert!(index.predecessors(s).contains(&pos));
+                }
+            }
+            for g in &scope {
+                let preds = index.predecessors(*g);
+                assert!(preds.windows(2).all(|w| w[0] < w[1]));
+                assert!(preds
+                    .iter()
+                    .all(|&i| successor_pairs(&aut, &scope[i], leaps).contains(g)));
+            }
+            // The root has no predecessor: nothing steps back into it.
+            assert!(index.predecessors(root).is_empty());
+        }
     }
 
     #[test]

@@ -87,15 +87,6 @@ pub fn wp(aut: &Automaton, psi: &ConfRel, pred: &TemplatePair, leaps: bool) -> O
     })
 }
 
-/// Computes the weakest preconditions of `psi` over every predecessor in
-/// `preds` (typically the reachable template pairs; Theorem 5.2).
-pub fn wp_all(aut: &Automaton, psi: &ConfRel, preds: &[TemplatePair], leaps: bool) -> Vec<ConfRel> {
-    preds
-        .iter()
-        .filter_map(|p| wp(aut, psi, p, leaps))
-        .collect()
-}
-
 /// One-sided weakest precondition (`WP<` or `WP>`, Lemma 4.8, lifted to a
 /// `k`-bit leap).
 #[allow(clippy::too_many_arguments)]

@@ -62,8 +62,7 @@ pub mod dimacs;
 mod portfolio;
 
 pub use portfolio::{
-    Portfolio, PortfolioConfig, PortfolioStats, DEFAULT_PORTFOLIO_MIN_CLAUSES,
-    MAX_PORTFOLIO_LANES,
+    Portfolio, PortfolioConfig, PortfolioStats, DEFAULT_PORTFOLIO_MIN_CLAUSES, MAX_PORTFOLIO_LANES,
 };
 
 /// A propositional variable, identified by a dense index.

@@ -75,8 +75,8 @@ pub struct CheckReply {
     pub outcome_json: String,
     /// The decoded outcome.
     pub outcome: WireOutcome,
-    /// Statistics of the run that produced it (batch-merged when the
-    /// server grouped concurrent requests into one batch).
+    /// Statistics of the run that produced it — this request's own, also
+    /// when the server grouped concurrent requests into one batch.
     pub stats: RunStats,
 }
 

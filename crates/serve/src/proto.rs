@@ -998,6 +998,7 @@ pub fn run_stats_to_value(s: &RunStats) -> Value {
         ("extended", json::num(s.extended as usize)),
         ("skipped", json::num(s.skipped as usize)),
         ("wp_generated", json::num(s.wp_generated as usize)),
+        ("wp_calls", json::num(s.wp_calls as usize)),
         ("scope_pairs", json::num(s.scope_pairs)),
         ("max_formula_size", json::num(s.max_formula_size)),
         (
@@ -1046,6 +1047,11 @@ pub fn run_stats_from_value(v: &Value) -> Result<RunStats, String> {
         extended: n("extended")?,
         skipped: n("skipped")?,
         wp_generated: n("wp_generated")?,
+        // Absent in frames from peers that predate the counter.
+        wp_calls: match json::get(v, "wp_calls") {
+            Ok(_) => n("wp_calls")?,
+            Err(_) => 0,
+        },
         scope_pairs: us("scope_pairs")?,
         max_formula_size: us("max_formula_size")?,
         witnesses_confirmed: n("witnesses_confirmed")?,

@@ -495,7 +495,7 @@ fn shard_stats(engine: &Engine) -> EngineStatsReply {
 /// Runs one drained batch of checks through a shard's engine.
 /// Default-shaped checks of one drain run as ONE batch over the
 /// work-stealing pool; a single check (or a custom-option one) runs
-/// alone so its reply carries exact per-run statistics.
+/// alone. Every reply carries its own query's statistics.
 fn run_checks(engine: &mut Engine, checks: Vec<ResolvedCheck>) {
     let (batchable, custom): (Vec<_>, Vec<_>) =
         checks.into_iter().partition(|c| c.options.is_default());
@@ -505,11 +505,12 @@ fn run_checks(engine: &mut Engine, checks: Vec<ResolvedCheck>) {
             .map(|c| QuerySpec::new(c.name.clone(), &c.left, c.ql, &c.right, c.qr))
             .collect();
         let outcomes = engine.check_batch(&specs);
-        // Per-member statistics are not separable out of a batch; every
-        // reply carries the batch-merged record.
-        let stats = run_stats_to_value(engine.last_run_stats());
-        for (c, outcome) in batchable.iter().zip(outcomes) {
-            send(&c.reply, &check_reply(&outcome, stats.clone()));
+        for ((c, outcome), stats) in batchable
+            .iter()
+            .zip(outcomes)
+            .zip(engine.last_batch_stats())
+        {
+            send(&c.reply, &check_reply(&outcome, run_stats_to_value(stats)));
         }
     } else {
         for c in batchable {

@@ -142,6 +142,7 @@ fn run_stats_roundtrip_randomized() {
             extended: next() % 10_000,
             skipped: next() % 10_000,
             wp_generated: next() % 100_000,
+            wp_calls: next() % 1_000_000,
             scope_pairs: (next() % 500) as usize,
             max_formula_size: (next() % 100_000) as usize,
             witnesses_confirmed: next() % 2,
@@ -297,6 +298,31 @@ fn fleet_stats_rejects_mislabelled_shards() {
     let broken = text.replacen("\"shard\": 0", "\"shard\": 9", 1);
     let parsed = json::parse(&broken).expect("still valid JSON");
     assert!(fleet_stats_from_value(&parsed).is_err());
+}
+
+#[test]
+fn run_stats_without_wp_calls_decode_as_zero() {
+    // Frames from peers that predate the counter carry no `wp_calls`
+    // key: they decode with the counter at 0, everything else intact.
+    let stats = RunStats {
+        iterations: 7,
+        wp_generated: 5,
+        wp_calls: 9,
+        ..RunStats::default()
+    };
+    let mut v = run_stats_to_value(&stats);
+    if let json::Value::Obj(fields) = &mut v {
+        fields.retain(|(k, _)| k != "wp_calls");
+    }
+    let decoded = run_stats_from_value(&v).expect("a frame without wp_calls decodes");
+    assert_eq!(decoded.wp_calls, 0);
+    assert_eq!(decoded.wp_generated, 5);
+    assert_eq!(decoded.iterations, 7);
+    // A present but malformed counter is still an error.
+    if let json::Value::Obj(fields) = &mut v {
+        fields.push(("wp_calls".to_string(), json::Value::Str("many".into())));
+    }
+    assert!(run_stats_from_value(&v).is_err());
 }
 
 #[test]

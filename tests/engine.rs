@@ -5,7 +5,7 @@
 //! ever reduce rebuild churn.
 
 use leapfrog::checker::check_language_equivalence;
-use leapfrog::{Engine, EngineConfig, Options, Outcome, QuerySpec};
+use leapfrog::{Engine, EngineConfig, Options, Outcome, QuerySpec, RunStats};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface::parse;
 use leapfrog_suite::utility::{sloppy_strict, state_rearrangement};
@@ -201,6 +201,66 @@ fn batch_on_one_thread_reuses_across_duplicate_specs() {
     assert!(stats.entailment_memo_hits > 0, "{stats:?}");
     assert_eq!(stats.sum_cache_hits, 2, "two of three specs intern-hit");
     assert_eq!(engine.stats().batches, 1);
+}
+
+#[test]
+fn batch_members_carry_their_own_stats() {
+    // Every batch member reports its own run, not the batch-merged record:
+    // its search counters equal a fresh engine's solo check of the same
+    // spec, on the sequential (1 thread) and the parallel (4) batch path.
+    let (a, sa, b, sb) = chunking_pair();
+    let (l, ql, r, qr) = refuted_pair();
+    let specs = vec![
+        QuerySpec::new("equivalent", &a, sa, &b, sb),
+        QuerySpec::new("refuted", &l, ql, &r, qr),
+    ];
+    let counters = |s: &RunStats| {
+        [
+            s.iterations,
+            s.extended,
+            s.skipped,
+            s.wp_generated,
+            s.wp_calls,
+            s.scope_pairs as u64,
+            s.max_formula_size as u64,
+            s.entailment_checks,
+            s.premises_matched,
+            s.premises_total,
+            s.entailment_memo_hits,
+            s.sessions_reused,
+            s.sum_cache_hits,
+            s.reach_cache_hits,
+            s.witnesses_confirmed,
+            s.witnesses_unconfirmed,
+            s.witness_bits_minimized,
+        ]
+    };
+    for threads in [1usize, 4] {
+        let mut engine = EngineConfig::from_env().threads(threads).build();
+        engine.check_batch(&specs);
+        let members = engine.last_batch_stats();
+        assert_eq!(members.len(), specs.len());
+        for (spec, member) in specs.iter().zip(members) {
+            let mut solo = EngineConfig::from_env().threads(threads).build();
+            solo.check(&spec.left, spec.ql, &spec.right, spec.qr);
+            assert_eq!(
+                counters(member),
+                counters(solo.last_run_stats()),
+                "{} at threads={threads}",
+                spec.name
+            );
+        }
+        assert_ne!(
+            counters(&members[0]),
+            counters(&members[1]),
+            "the two members ran different searches"
+        );
+        let mut merged = RunStats::default();
+        for m in members {
+            merged.merge(m);
+        }
+        assert_eq!(counters(&merged), counters(engine.last_run_stats()));
+    }
 }
 
 #[test]
