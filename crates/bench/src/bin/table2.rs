@@ -13,9 +13,12 @@
 //!
 //! Since the trust root landed, every row's certificate is additionally
 //! re-discharged through the independent `leapfrog-certcheck` checker
-//! (its own WP transformer and DPLL loop — no engine code), with the
+//! (its own WP transformer and CDCL solver — no engine code), with the
 //! re-validation wall-clock recorded per row as `certcheck_secs` in
-//! `BENCH_table2.json`; a rejection fails the run.
+//! `BENCH_table2.json` beside the trust root's deterministic counters
+//! (`certcheck_obligations`, `certcheck_cegar_rounds`,
+//! `certcheck_sat_decisions`, `certcheck_sat_conflicts`); a rejection
+//! fails the run.
 //!
 //! ```text
 //! LEAPFROG_SCALE=full cargo run --release -p leapfrog-bench --bin table2
@@ -83,10 +86,10 @@ const SANITY_PAIR: &str = "Sanity check (sloppy vs strict)";
 
 /// Re-discharges a measured row's certificate through the independent
 /// `leapfrog-certcheck` trust root — its own reachable-pair sweep, WP
-/// transformer and DPLL loop, sharing no solver code with the engine —
-/// and records the re-validation wall-clock on the row. Every standard
-/// table row is expected equivalent, so a missing certificate or a
-/// trust-root rejection is a run failure.
+/// transformer and CDCL solver, sharing no solver code with the engine —
+/// and records the re-validation wall-clock and work counts on the row.
+/// Every standard table row is expected equivalent, so a missing
+/// certificate or a trust-root rejection is a run failure.
 fn recheck_certificate(
     row: &mut RowResult,
     left: &leapfrog_p4a::ast::Automaton,
@@ -103,7 +106,10 @@ fn recheck_certificate(
     let sum = leapfrog_p4a::sum::sum(left, right);
     let start = std::time::Instant::now();
     match leapfrog_certcheck::check_json(&sum.automaton, &cert_json) {
-        Ok(()) => row.certcheck_secs = Some(start.elapsed().as_secs_f64()),
+        Ok(stats) => {
+            row.certcheck_secs = Some(start.elapsed().as_secs_f64());
+            row.certcheck = Some(stats);
+        }
         Err(e) => failures.push(format!(
             "trust root rejected the \"{}\" certificate [{}]: {e}",
             row.name,
@@ -584,6 +590,10 @@ fn main() {
         "\"sum_cache_hits\"",
         "\"entailment_memo_hits\"",
         "\"certcheck_secs\"",
+        "\"certcheck_obligations\"",
+        "\"certcheck_cegar_rounds\"",
+        "\"certcheck_sat_decisions\"",
+        "\"certcheck_sat_conflicts\"",
     ] {
         let have = json.matches(key).count();
         if have != measured.len() {

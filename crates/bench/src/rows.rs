@@ -100,6 +100,9 @@ pub struct RowResult {
     /// Wall-clock of the independent trust-root re-validation of this
     /// row's certificate (`None` until the `table2` binary runs it).
     pub certcheck_secs: Option<f64>,
+    /// The trust root's deterministic work counts for that re-validation
+    /// (`None` until the `table2` binary runs it).
+    pub certcheck: Option<leapfrog_certcheck::CheckStats>,
     /// Per-phase time breakdown from the span tracer (empty unless
     /// tracing was enabled for the run).
     pub phases: PhaseBreakdown,
@@ -282,6 +285,8 @@ pub fn rows_to_json(
              \"cold_t4_secs\": {}, \"warm_speedup\": {}, \
              \"sessions_reused\": {}, \"sum_cache_hits\": {}, \
              \"entailment_memo_hits\": {}, \"certcheck_secs\": {}, \
+             \"certcheck_obligations\": {}, \"certcheck_cegar_rounds\": {}, \
+             \"certcheck_sat_decisions\": {}, \"certcheck_sat_conflicts\": {}, \
              \"phases\": {}}}{}\n",
             esc(&row.name),
             row.metrics.states,
@@ -329,6 +334,10 @@ pub fn rows_to_json(
             row.certcheck_secs
                 .map(|s| format!("{s:.6}"))
                 .unwrap_or_else(|| "null".into()),
+            certcheck_count(row, |c| c.obligations),
+            certcheck_count(row, |c| c.cegar_rounds),
+            certcheck_count(row, |c| c.sat_decisions),
+            certcheck_count(row, |c| c.sat_conflicts),
             phases_json(&row.phases),
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -341,6 +350,14 @@ pub fn rows_to_json(
             .unwrap_or_else(|| "null".into()),
     ));
     out
+}
+
+/// One trust-root counter of a row as JSON (`null` before the re-check).
+fn certcheck_count(row: &RowResult, count: fn(&leapfrog_certcheck::CheckStats) -> u64) -> String {
+    row.certcheck
+        .as_ref()
+        .map(|c| count(c).to_string())
+        .unwrap_or_else(|| "null".into())
 }
 
 /// Renders a phase breakdown as a JSON array in canonical phase order —
@@ -406,6 +423,7 @@ fn finish(
             _ => None,
         },
         certcheck_secs: None,
+        certcheck: None,
         phases: stats.phases.clone(),
     }
 }
@@ -444,6 +462,12 @@ mod tests {
         row.cold_t1 = Some(Duration::from_millis(500));
         row.cold_t4 = Some(Duration::from_millis(250));
         row.certcheck_secs = Some(0.125);
+        row.certcheck = Some(leapfrog_certcheck::CheckStats {
+            obligations: 11,
+            cegar_rounds: 12,
+            sat_decisions: 13,
+            sat_conflicts: 14,
+        });
         let json = rows_to_json(&[(row, Some(1024))], true, Some(1.5), 4);
         for key in [
             "\"wp_generated\"",
@@ -465,6 +489,10 @@ mod tests {
             "\"cold_t4_secs\": 0.250000",
             "\"warm_speedup\": 2.0000",
             "\"certcheck_secs\": 0.125000",
+            "\"certcheck_obligations\": 11",
+            "\"certcheck_cegar_rounds\": 12",
+            "\"certcheck_sat_decisions\": 13",
+            "\"certcheck_sat_conflicts\": 14",
             "\"sessions_reused\"",
             "\"sum_cache_hits\"",
             "\"entailment_memo_hits\"",

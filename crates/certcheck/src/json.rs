@@ -344,7 +344,11 @@ fn expr_from(v: &Value, aut: &Automaton) -> Result<BitExpr, String> {
             }
             Ok(BitExpr::Hdr(side_from(&items[0])?, HeaderId(h as u32)))
         }
-        "Var" => Ok(BitExpr::Var(VarId(as_usize(payload)? as u32))),
+        "Var" => {
+            let v = as_usize(payload)?;
+            let v = u32::try_from(v).map_err(|_| format!("packet variable x{v} out of range"))?;
+            Ok(BitExpr::Var(VarId(v)))
+        }
         "Slice" => {
             let items = as_arr(payload)?;
             if items.len() != 3 {
@@ -456,7 +460,11 @@ fn confrel_from(v: &Value, aut: &Automaton, what: &str) -> Result<ConfRel, Strin
             .collect::<Result<_, _>>()?,
         phi: pure_from(get(v, "phi")?, aut)?,
     };
-    if rel.vars.iter().sum::<usize>() > MAX_VAR_BITS {
+    let total = rel
+        .vars
+        .iter()
+        .try_fold(0usize, |acc, w| acc.checked_add(*w));
+    if total.is_none_or(|t| t > MAX_VAR_BITS) {
         return Err(format!(
             "{what}: packet variables exceed {MAX_VAR_BITS} bits"
         ));

@@ -12,7 +12,7 @@
 //! * its own JSON parser and schema validation ([`json`]);
 //! * its own reachable-pair computation ([`rel::reachable_pairs`]);
 //! * its own weakest-precondition transformer ([`wp::wp`]);
-//! * its own bit-blasting and minimal DPLL solver with model-based
+//! * its own bit-blasting and small CDCL solver with model-based
 //!   universal instantiation ([`solve::entails`]).
 //!
 //! The only shared code is `leapfrog-p4a` (the problem statement: automata
@@ -122,10 +122,28 @@ impl fmt::Display for CertCheckError {
 
 impl std::error::Error for CertCheckError {}
 
+/// Deterministic work counts of one [`check`]: they depend only on the
+/// certificate and the automaton, never on timing, so they serve as the
+/// trust root's regression counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckStats {
+    /// Entailment obligations discharged: initial conjuncts, closure
+    /// preconditions and query conjuncts.
+    pub obligations: u64,
+    /// Candidate countermodels validated against the quantified premises
+    /// (model-based instantiation rounds).
+    pub cegar_rounds: u64,
+    /// SAT decisions over every solver call, nested ones included.
+    pub sat_decisions: u64,
+    /// SAT conflicts over every solver call, nested ones included.
+    pub sat_conflicts: u64,
+}
+
 /// Re-validates a certificate against the sum automaton, independently of
-/// the engine. Deterministic: obligations are checked in a fixed order and
-/// the lowest-index failure is reported.
-pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertCheckError> {
+/// the engine, and reports the work it took. Deterministic: obligations
+/// are checked in a fixed order and the lowest-index failure is reported.
+pub fn check(aut: &Automaton, cert: &Certificate) -> Result<CheckStats, CertCheckError> {
+    let mut stats = CheckStats::default();
     let scope = rel::reachable_pairs(aut, &[cert.query.guard], cert.leaps);
 
     // (2a) Acceptance compatibility (standard-init certificates only).
@@ -143,7 +161,7 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertCheckError> 
 
     // (2b) ⋀R entails every initial conjunct.
     for i in &cert.init {
-        if !solve::entails(aut, &cert.relation, i) {
+        if !solve::entails(aut, &cert.relation, i, &mut stats) {
             return Err(CertCheckError::InitNotEntailed(i.display(aut)));
         }
     }
@@ -153,7 +171,7 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertCheckError> 
     for rho in &cert.relation {
         for p in &scope {
             if let Some(ob) = wp::wp(aut, rho, p, cert.leaps) {
-                if !solve::entails(aut, &cert.relation, &ob) {
+                if !solve::entails(aut, &cert.relation, &ob, &mut stats) {
                     return Err(CertCheckError::NotClosed(ob.display(aut)));
                 }
             }
@@ -163,17 +181,17 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertCheckError> 
     // (4) φ ⊨ ⋀R.
     for rho in &cert.relation {
         if rho.guard == cert.query.guard
-            && !solve::entails(aut, std::slice::from_ref(&cert.query), rho)
+            && !solve::entails(aut, std::slice::from_ref(&cert.query), rho, &mut stats)
         {
             return Err(CertCheckError::QueryNotEntailed(rho.display(aut)));
         }
     }
-    Ok(())
+    Ok(stats)
 }
 
 /// Parses, validates, and checks a certificate JSON in one call (the wire
 /// and CLI entry point).
-pub fn check_json(aut: &Automaton, cert_json: &str) -> Result<(), CertCheckError> {
+pub fn check_json(aut: &Automaton, cert_json: &str) -> Result<CheckStats, CertCheckError> {
     let cert = Certificate::from_json(cert_json, aut)?;
     check(aut, &cert)
 }
@@ -199,6 +217,10 @@ mod tests {
         }
     }
 
+    fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> bool {
+        solve::entails(aut, premises, conclusion, &mut CheckStats::default())
+    }
+
     fn two_header() -> Automaton {
         parse("parser P { state s { extract(h, 4); extract(g, 4); goto accept } }").unwrap()
     }
@@ -212,7 +234,7 @@ mod tests {
             vars: vec![],
             phi: Pure::eq(BitExpr::Buf(Side::Left), BitExpr::Buf(Side::Right)),
         };
-        assert!(solve::entails(&aut, std::slice::from_ref(&rel), &rel));
+        assert!(entails(&aut, std::slice::from_ref(&rel), &rel));
     }
 
     #[test]
@@ -232,8 +254,8 @@ mod tests {
                 BitExpr::Slice(Box::new(BitExpr::Buf(Side::Right)), 1, 2),
             ),
         };
-        assert!(solve::entails(&aut, std::slice::from_ref(&full), &sliced));
-        assert!(!solve::entails(&aut, std::slice::from_ref(&sliced), &full));
+        assert!(entails(&aut, std::slice::from_ref(&full), &sliced));
+        assert!(!entails(&aut, std::slice::from_ref(&sliced), &full));
     }
 
     #[test]
@@ -249,7 +271,7 @@ mod tests {
             vars: vec![],
             phi: Pure::eq(BitExpr::Buf(Side::Left), BitExpr::Buf(Side::Right)),
         };
-        assert!(!solve::entails(&aut, &[premise], &conclusion));
+        assert!(!entails(&aut, &[premise], &conclusion));
     }
 
     #[test]
@@ -266,7 +288,7 @@ mod tests {
             vars: vec![],
             phi: Pure::eq(BitExpr::Buf(Side::Left), BitExpr::Buf(Side::Right)),
         };
-        assert!(solve::entails(&aut, &[premise], &conclusion));
+        assert!(entails(&aut, &[premise], &conclusion));
     }
 
     #[test]
@@ -287,7 +309,7 @@ mod tests {
             vars: vec![],
             phi: Pure::eq(BitExpr::Buf(Side::Left), BitExpr::Buf(Side::Right)),
         };
-        assert!(solve::entails(&aut, &[premise], &conclusion));
+        assert!(entails(&aut, &[premise], &conclusion));
     }
 
     #[test]
@@ -308,7 +330,7 @@ mod tests {
                 BitExpr::Lit(leapfrog_bitvec::BitVec::zeros(2)),
             ),
         };
-        assert!(!solve::entails(&aut, &[premise], &conclusion));
+        assert!(!entails(&aut, &[premise], &conclusion));
     }
 
     #[test]
@@ -330,13 +352,13 @@ mod tests {
                 BitExpr::Slice(Box::new(BitExpr::Hdr(Side::Right, gh)), 0, 2),
             ),
         };
-        assert!(solve::entails(&aut, std::slice::from_ref(&premise), &ok));
+        assert!(entails(&aut, std::slice::from_ref(&premise), &ok));
         let wrong = ConfRel {
             guard: g,
             vars: vec![],
             phi: Pure::eq(BitExpr::Hdr(Side::Right, h), BitExpr::Hdr(Side::Right, gh)),
         };
-        assert!(!solve::entails(&aut, &[premise], &wrong));
+        assert!(!entails(&aut, &[premise], &wrong));
     }
 
     #[test]
@@ -358,7 +380,7 @@ mod tests {
             vars: vec![],
             phi: Pure::eq(BitExpr::Buf(Side::Left), BitExpr::Buf(Side::Right)),
         };
-        assert!(solve::entails(&aut, &[], &conclusion));
+        assert!(entails(&aut, &[], &conclusion));
     }
 
     #[test]
@@ -392,6 +414,36 @@ mod tests {
         // Not JSON at all.
         assert!(matches!(
             check_json(&aut, "not json"),
+            Err(CertCheckError::Malformed(_))
+        ));
+        // Packet-variable widths whose sum wraps to exactly 2^64: the cap
+        // must see the true total, not the wrapped 0.
+        let mut widths = vec!["8999999999999999"; 2049];
+        widths.push("5744073709553665");
+        let wrapping_vars = format!(
+            r#"{{
+          "leaps": true, "standard_init": true,
+          "query": {{"guard": {{"left": {{"target": {{"State": 0}}, "buf_len": 0}},
+                              "right": {{"target": {{"State": 0}}, "buf_len": 0}}}},
+                    "vars": [{}], "phi": {{"Const": true}}}},
+          "init": [], "relation": []
+        }}"#,
+            widths.join(", ")
+        );
+        assert!(matches!(
+            check_json(&aut, &wrapping_vars),
+            Err(CertCheckError::Malformed(_))
+        ));
+        // A packet-variable index past u32 must not truncate to x0.
+        let wide_var = r#"{
+          "leaps": true, "standard_init": true,
+          "query": {"guard": {"left": {"target": {"State": 0}, "buf_len": 0},
+                              "right": {"target": {"State": 0}, "buf_len": 0}},
+                    "vars": [1], "phi": {"Eq": [{"Var": 4294967296}, {"Lit": "0"}]}},
+          "init": [], "relation": []
+        }"#;
+        assert!(matches!(
+            check_json(&aut, wide_var),
             Err(CertCheckError::Malformed(_))
         ));
     }

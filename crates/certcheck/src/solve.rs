@@ -21,7 +21,7 @@
 //! instantiation: search for a countermodel of `premises ∧ ¬conclusion`
 //! treating each quantified premise only through its ground
 //! instantiations; when a candidate model appears, verify each quantified
-//! premise under the model with a nested DPLL search over the premise's
+//! premise under the model with a nested search over the premise's
 //! packet bits alone; a violating witness `x*` refutes the candidate and
 //! its ground instantiation `ψᵢ[x := x*]` joins the clause set. Every
 //! round eliminates at least the candidate model, and the model space is
@@ -31,9 +31,10 @@ use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::ast::Automaton;
 
 use crate::rel::{BitExpr, ConfRel, Pure, Side};
+use crate::CheckStats;
 
 // ---------------------------------------------------------------------------
-// CNF + DPLL
+// CNF + CDCL
 
 /// A propositional literal: variable index plus sign (`2v` positive,
 /// `2v+1` negated).
@@ -100,10 +101,111 @@ impl PLit {
     }
 }
 
+/// The branching order: a binary max-heap of variables keyed on activity,
+/// ties to the lower index (MiniSat's variable order, Eén & Sörensson
+/// 2003). Deletion is lazy: assigned variables stay until popped, and
+/// backjumping re-inserts what it unassigns.
+struct VarHeap {
+    heap: Vec<usize>,
+    /// Each variable's slot in `heap`, `usize::MAX` when absent.
+    slot: Vec<usize>,
+}
+
+impl VarHeap {
+    fn new(num_vars: usize) -> VarHeap {
+        VarHeap {
+            heap: Vec::new(),
+            slot: vec![usize::MAX; num_vars],
+        }
+    }
+
+    /// Whether `a` is branched on before `b`.
+    fn before(act: &[f64], a: usize, b: usize) -> bool {
+        act[a] > act[b] || (act[a] == act[b] && a < b)
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.slot[v] != usize::MAX
+    }
+
+    fn place(&mut self, i: usize, v: usize) {
+        self.heap[i] = v;
+        self.slot[v] = i;
+    }
+
+    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !VarHeap::before(act, v, self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len()
+                && VarHeap::before(act, self.heap[child + 1], self.heap[child])
+            {
+                child += 1;
+            }
+            if !VarHeap::before(act, self.heap[child], v) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, v);
+    }
+
+    fn insert(&mut self, v: usize, act: &[f64]) {
+        if !self.contains(v) {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, act);
+        }
+    }
+
+    /// Restores `v`'s position after its activity grew.
+    fn raised(&mut self, v: usize, act: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.slot[v], act);
+        }
+    }
+
+    fn pop(&mut self, act: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap is nonempty");
+        self.slot[top] = usize::MAX;
+        if !self.heap.is_empty() {
+            self.place(0, last);
+            self.sift_down(0, act);
+        }
+        Some(top)
+    }
+
+    /// Re-establishes the heap order from scratch (after every activity
+    /// was rescaled, which can merge distinct keys into ties).
+    fn rebuild(&mut self, act: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
+    }
+}
+
 /// The conflict-driven search state. A small CDCL solver, written from
 /// scratch for the trust root: two-watched-literal propagation, first-UIP
 /// clause learning with non-chronological backjumping, activity-driven
-/// branching with phase saving, and geometric restarts.
+/// branching from a variable heap with phase saving, and geometric
+/// restarts.
 ///
 /// Clause learning is load-bearing here, not an optimisation: the wide
 /// header-to-header equalities of relational certificates make plain
@@ -124,6 +226,10 @@ struct Solver {
     phase: Vec<bool>,
     activity: Vec<f64>,
     var_inc: f64,
+    /// Every unassigned variable that occurs in some clause (plus, lazily,
+    /// some assigned ones), by activity. Variables no clause mentions are
+    /// never branched on.
+    order: VarHeap,
     trail: Vec<Lit>,
     /// Trail height at each decision.
     trail_lim: Vec<usize>,
@@ -203,6 +309,9 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(v, &self.activity);
         }
     }
 
@@ -273,6 +382,7 @@ impl Solver {
             self.phase[v] = lit_sign(l);
             self.assign[v] = 0;
             self.reason[v] = None;
+            self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(back);
         self.qhead = self.trail.len();
@@ -302,18 +412,17 @@ impl Solver {
         self.enqueue(asserting, Some(ci));
     }
 
-    /// Picks the unassigned variable with the highest activity and assigns
-    /// its saved phase at a new decision level. Returns `false` when every
-    /// variable is already assigned (the current trail is a model).
+    /// Picks the unassigned clause variable with the highest activity
+    /// (lowest index among ties) and assigns its saved phase at a new
+    /// decision level. Returns `false` when every clause variable is
+    /// assigned (the current trail is a model).
     fn decide(&mut self) -> bool {
-        let mut best: Option<usize> = None;
-        for v in 0..self.assign.len() {
-            if self.assign[v] == 0 && best.is_none_or(|b| self.activity[v] > self.activity[b]) {
-                best = Some(v);
+        let v = loop {
+            match self.order.pop(&self.activity) {
+                None => return false,
+                Some(v) if self.assign[v] == 0 => break v,
+                Some(_) => {}
             }
-        }
-        let Some(v) = best else {
-            return false;
         };
         self.trail_lim.push(self.trail.len());
         let l = if self.phase[v] {
@@ -326,9 +435,10 @@ impl Solver {
     }
 }
 
-/// Decides satisfiability of a [`Cnf`]. Returns a full assignment when
-/// satisfiable, `None` when unsatisfiable.
-fn dpll(cnf: &Cnf) -> Option<Vec<bool>> {
+/// Decides satisfiability of a [`Cnf`], adding the search's decisions and
+/// conflicts to `stats`. Returns a full assignment when satisfiable,
+/// `None` when unsatisfiable. Variables no clause mentions read `true`.
+fn dpll(cnf: &Cnf, stats: &mut CheckStats) -> Option<Vec<bool>> {
     if cnf.contradiction {
         return None;
     }
@@ -342,6 +452,7 @@ fn dpll(cnf: &Cnf) -> Option<Vec<bool>> {
         phase: vec![true; n],
         activity: vec![0.0; n],
         var_inc: 1.0,
+        order: VarHeap::new(n),
         trail: Vec::new(),
         trail_lim: Vec::new(),
         qhead: 0,
@@ -367,6 +478,9 @@ fn dpll(cnf: &Cnf) -> Option<Vec<bool>> {
             s.activity[lit_var(l)] += 1.0;
         }
     }
+    for &l in cnf.clauses.iter().flatten() {
+        s.order.insert(lit_var(l), &s.activity);
+    }
     for &u in &units {
         if !s.enqueue(u, None) {
             return None;
@@ -381,6 +495,7 @@ fn dpll(cnf: &Cnf) -> Option<Vec<bool>> {
                 return None;
             }
             conflicts += 1;
+            stats.sat_conflicts += 1;
             let (learnt, back) = s.analyze(confl);
             s.backjump(back);
             s.learn(learnt);
@@ -390,8 +505,12 @@ fn dpll(cnf: &Cnf) -> Option<Vec<bool>> {
             conflicts = 0;
             restart_at += restart_at / 2;
             s.backjump(0);
-        } else if !s.decide() {
-            return Some(s.assign.iter().map(|&a| a == 1).collect());
+        } else if s.decide() {
+            stats.sat_decisions += 1;
+        } else {
+            // Unassigned variables occur in no clause; `true` is the value
+            // a decision from their initial saved phase would give them.
+            return Some(s.assign.iter().map(|&a| a != 2).collect());
         }
     }
 }
@@ -562,7 +681,7 @@ fn fresh_bits(width: usize, cnf: &mut Cnf) -> Vec<Bit> {
     (0..width).map(|_| Bit::Var(cnf.fresh())).collect()
 }
 
-/// Reads a bit vector's value out of a DPLL model.
+/// Reads a bit vector's value out of a solver model.
 fn bits_value(bits: &[Bit], model: &[bool]) -> BitVec {
     let vals: Vec<bool> = bits
         .iter()
@@ -589,10 +708,16 @@ fn const_bits(bv: &BitVec) -> Vec<Bit> {
     bv.iter().map(Bit::Const).collect()
 }
 
-/// Decides `⋀ premises ⊨ conclusion` for template-guarded relations.
-/// Premises whose guard differs from the conclusion's are vacuous (guards
-/// are mutually exclusive) and ignored.
-pub fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> bool {
+/// Decides `⋀ premises ⊨ conclusion` for template-guarded relations,
+/// adding the work done to `stats`. Premises whose guard differs from the
+/// conclusion's are vacuous (guards are mutually exclusive) and ignored.
+pub fn entails(
+    aut: &Automaton,
+    premises: &[ConfRel],
+    conclusion: &ConfRel,
+    stats: &mut CheckStats,
+) -> bool {
+    stats.obligations += 1;
     let relevant: Vec<&ConfRel> = premises
         .iter()
         .filter(|p| p.guard == conclusion.guard)
@@ -602,7 +727,8 @@ pub fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> b
 
     // The free variables of the validity query: buffers at the guard's
     // widths, one bitvector per (side, header), and the conclusion's
-    // packet variables.
+    // packet variables. One environment serves the conclusion, every
+    // ground premise and every instantiation; only `vars` changes.
     let buf_l = fresh_bits(conclusion.guard.left.buf_len, &mut cnf);
     let buf_r = fresh_bits(conclusion.guard.right.buf_len, &mut cnf);
     let headers: Vec<[Vec<Bit>; 2]> = aut
@@ -612,20 +738,20 @@ pub fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> b
             [fresh_bits(w, &mut cnf), fresh_bits(w, &mut cnf)]
         })
         .collect();
-    let concl_vars: Vec<Vec<Bit>> = conclusion
+    let vars = conclusion
         .vars
         .iter()
         .map(|w| fresh_bits(*w, &mut cnf))
         .collect();
+    let mut env = Env {
+        buf_l,
+        buf_r,
+        headers,
+        vars,
+    };
 
     // Search for a countermodel: ¬conclusion …
-    let concl_env = Env {
-        buf_l: buf_l.clone(),
-        buf_r: buf_r.clone(),
-        headers: headers.clone(),
-        vars: concl_vars,
-    };
-    let c = blast_pure(&conclusion.phi, &concl_env, &mut cnf);
+    let c = blast_pure(&conclusion.phi, &env, &mut cnf);
     assert_plit(c.negate(), &mut cnf);
 
     // … under every premise. Ground premises (no packet bits) assert
@@ -633,12 +759,7 @@ pub fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> b
     let mut quantified: Vec<&ConfRel> = Vec::new();
     for p in relevant {
         if p.vars.iter().sum::<usize>() == 0 {
-            let env = Env {
-                buf_l: buf_l.clone(),
-                buf_r: buf_r.clone(),
-                headers: headers.clone(),
-                vars: p.vars.iter().map(|_| Vec::new()).collect(),
-            };
+            env.vars = p.vars.iter().map(|_| Vec::new()).collect();
             let l = blast_pure(&p.phi, &env, &mut cnf);
             assert_plit(l, &mut cnf);
         } else {
@@ -647,28 +768,36 @@ pub fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> b
     }
 
     loop {
-        let Some(model) = dpll(&cnf) else {
+        let Some(model) = dpll(&cnf, stats) else {
             // No countermodel: the entailment holds.
             return true;
         };
+        stats.cegar_rounds += 1;
         // Validate the candidate against each universally quantified
-        // premise with a nested search over the premise's packet bits.
+        // premise with a nested search over the premise's packet bits,
+        // the buffers and headers frozen to the model.
+        let mut frozen = Env {
+            buf_l: freeze(&env.buf_l, &model),
+            buf_r: freeze(&env.buf_r, &model),
+            headers: env
+                .headers
+                .iter()
+                .map(|[l, r]| [freeze(l, &model), freeze(r, &model)])
+                .collect(),
+            vars: Vec::new(),
+        };
         let mut refuted = None;
         for (qi, p) in quantified.iter().enumerate() {
             let mut sub = Cnf::new();
-            let env = Env {
-                buf_l: freeze(&buf_l, &model),
-                buf_r: freeze(&buf_r, &model),
-                headers: headers
-                    .iter()
-                    .map(|[l, r]| [freeze(l, &model), freeze(r, &model)])
-                    .collect(),
-                vars: p.vars.iter().map(|w| fresh_bits(*w, &mut sub)).collect(),
-            };
-            let l = blast_pure(&p.phi, &env, &mut sub);
+            frozen.vars = p.vars.iter().map(|w| fresh_bits(*w, &mut sub)).collect();
+            let l = blast_pure(&p.phi, &frozen, &mut sub);
             assert_plit(l.negate(), &mut sub);
-            if let Some(witness) = dpll(&sub) {
-                let xs: Vec<BitVec> = env.vars.iter().map(|v| bits_value(v, &witness)).collect();
+            if let Some(witness) = dpll(&sub, stats) {
+                let xs: Vec<BitVec> = frozen
+                    .vars
+                    .iter()
+                    .map(|v| bits_value(v, &witness))
+                    .collect();
                 refuted = Some((qi, xs));
                 break;
             }
@@ -684,14 +813,8 @@ pub fn entails(aut: &Automaton, premises: &[ConfRel], conclusion: &ConfRel) -> b
                 // learn the ground instantiation and continue. Each round
                 // eliminates at least the current model, so this
                 // terminates.
-                let p = quantified[qi];
-                let env = Env {
-                    buf_l: buf_l.clone(),
-                    buf_r: buf_r.clone(),
-                    headers: headers.clone(),
-                    vars: xs.iter().map(const_bits).collect(),
-                };
-                let l = blast_pure(&p.phi, &env, &mut cnf);
+                env.vars = xs.iter().map(const_bits).collect();
+                let l = blast_pure(&quantified[qi].phi, &env, &mut cnf);
                 assert_plit(l, &mut cnf);
             }
         }
@@ -709,10 +832,10 @@ mod tests {
         let b = cnf.fresh();
         cnf.clause(vec![pos(a), pos(b)]);
         cnf.clause(vec![neg_lit(pos(a)), pos(b)]);
-        let model = dpll(&cnf).expect("satisfiable");
+        let model = dpll(&cnf, &mut CheckStats::default()).expect("satisfiable");
         assert!(model[b]);
         cnf.clause(vec![neg_lit(pos(b))]);
-        assert!(dpll(&cnf).is_none());
+        assert!(dpll(&cnf, &mut CheckStats::default()).is_none());
     }
 
     #[test]
@@ -726,6 +849,150 @@ mod tests {
         cnf.clause(vec![neg_lit(a), c]);
         cnf.clause(vec![neg_lit(c), neg_lit(b)]);
         cnf.clause(vec![neg_lit(a), neg_lit(b)]);
-        assert!(dpll(&cnf).is_some());
+        assert!(dpll(&cnf, &mut CheckStats::default()).is_some());
+    }
+
+    fn satisfies(cnf: &Cnf, model: &[bool]) -> bool {
+        cnf.clauses
+            .iter()
+            .all(|c| c.iter().any(|&l| model[lit_var(l)] == lit_sign(l)))
+    }
+
+    #[test]
+    fn clause_free_variables_are_true_and_never_decided() {
+        // Three clause variables in the middle of 200,000 that no clause
+        // mentions: the search decides at most the three.
+        let mut cnf = Cnf::new();
+        for _ in 0..100_000 {
+            cnf.fresh();
+        }
+        let a = pos(cnf.fresh());
+        let b = pos(cnf.fresh());
+        let c = pos(cnf.fresh());
+        for _ in 0..100_000 {
+            cnf.fresh();
+        }
+        cnf.clause(vec![a, b]);
+        cnf.clause(vec![neg_lit(a), c]);
+        cnf.clause(vec![neg_lit(c), neg_lit(b)]);
+        let mut stats = CheckStats::default();
+        let model = dpll(&cnf, &mut stats).expect("satisfiable");
+        assert!(satisfies(&cnf, &model));
+        let clause_vars = [a, b, c].map(lit_var);
+        assert!((0..cnf.num_vars)
+            .filter(|v| !clause_vars.contains(v))
+            .all(|v| model[v]));
+        assert!(stats.sat_decisions <= 3, "{stats:?}");
+    }
+
+    #[test]
+    fn random_3cnf_agrees_with_truth_tables() {
+        let mut rng = leapfrog_p4a::walk::Rng::new(0x5eed);
+        let (mut sat, mut unsat) = (0, 0);
+        let mut stats = CheckStats::default();
+        for _ in 0..600 {
+            let n = 3 + rng.below(10);
+            let mut cnf = Cnf::new();
+            for _ in 0..n {
+                cnf.fresh();
+            }
+            for _ in 0..n + rng.below(8 * n) {
+                let mut vars: Vec<usize> = Vec::new();
+                while vars.len() < 3 {
+                    let v = rng.below(n);
+                    if !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
+                cnf.clause(vars.into_iter().map(|v| pos(v) | rng.below(2)).collect());
+            }
+            let brute = (0u32..1 << n).any(|bits| {
+                let model: Vec<bool> = (0..n).map(|v| bits >> v & 1 == 1).collect();
+                satisfies(&cnf, &model)
+            });
+            match dpll(&cnf, &mut stats) {
+                Some(model) => {
+                    assert!(brute, "solver found a model of an unsatisfiable CNF");
+                    assert!(satisfies(&cnf, &model), "model violates a clause");
+                    sat += 1;
+                }
+                None => {
+                    assert!(!brute, "solver refuted a satisfiable CNF");
+                    unsat += 1;
+                }
+            }
+        }
+        assert!(sat > 100 && unsat > 100, "sat {sat}, unsat {unsat}");
+        assert!(stats.sat_conflicts > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn pigeonhole_is_refuted_through_restarts() {
+        // Eight pigeons in seven holes: unsatisfiable, and hard enough for
+        // the search to restart (every 100+ conflicts) several times.
+        let holes = 7;
+        let x = |pigeon: usize, hole: usize| pos(pigeon * holes + hole);
+        let mut cnf = Cnf::new();
+        cnf.num_vars = (holes + 1) * holes;
+        for p in 0..=holes {
+            cnf.clause((0..holes).map(|h| x(p, h)).collect());
+        }
+        for h in 0..holes {
+            for p in 0..=holes {
+                for q in p + 1..=holes {
+                    cnf.clause(vec![neg_lit(x(p, h)), neg_lit(x(q, h))]);
+                }
+            }
+        }
+        let mut stats = CheckStats::default();
+        assert!(dpll(&cnf, &mut stats).is_none());
+        assert!(stats.sat_conflicts > 1_000, "{stats:?}");
+    }
+
+    #[test]
+    fn heap_pops_in_scan_order() {
+        // The heap must yield what a scan for the highest activity (lowest
+        // index among ties) over the same members would, through raises,
+        // re-inserts and the rescale that merges nearby keys into ties.
+        let n = 64;
+        let mut rng = leapfrog_p4a::walk::Rng::new(7);
+        let mut act: Vec<f64> = (0..n).map(|_| rng.below(4) as f64).collect();
+        let mut heap = VarHeap::new(n);
+        for v in 0..n {
+            heap.insert(v, &act);
+        }
+        let mut members = vec![true; n];
+        for step in 0..20_000 {
+            match rng.below(4) {
+                0 => {
+                    let v = rng.below(n);
+                    heap.insert(v, &act);
+                    members[v] = true;
+                }
+                1 => {
+                    let v = rng.below(n);
+                    act[v] += if step % 2 == 0 { 1.0 } else { 1e99 };
+                    heap.raised(v, &act);
+                }
+                2 if step % 97 == 0 => {
+                    for a in &mut act {
+                        *a *= 1e-100;
+                    }
+                    heap.rebuild(&act);
+                }
+                _ => {
+                    let mut want: Option<usize> = None;
+                    for v in (0..n).filter(|&v| members[v]) {
+                        if want.is_none_or(|b| act[v] > act[b]) {
+                            want = Some(v);
+                        }
+                    }
+                    assert_eq!(heap.pop(&act), want, "step {step}");
+                    if let Some(v) = want {
+                        members[v] = false;
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,10 @@
 //! the formula with the first-match condition reaching the successor
 //! state; `accept`/`reject` step to `reject` with the store unchanged.
 //! Returns `None` when the successor guard is unreachable (the conjunct
-//! would be vacuously true).
+//! would be vacuously true). The structural cases of that — template kind,
+//! buffer length, syntactic `goto`/`select` targets — are decided for both
+//! sides before any substitution, so the closure loop never rewrites a
+//! formula it would discard.
 
 use leapfrog_p4a::ast::{
     clamped_slice_bounds, Automaton, Expr, HeaderId, Op, Pattern, StateId, Target, Transition,
@@ -22,6 +25,11 @@ use crate::rel::{leap_size, BitExpr, ConfRel, ExprCtx, Pure, Side, Template, Tem
 /// Computes the weakest precondition of `psi` along one leap from `pred`.
 pub fn wp(aut: &Automaton, psi: &ConfRel, pred: &TemplatePair, leaps: bool) -> Option<ConfRel> {
     let k = leap_size(aut, pred, leaps);
+    if !may_step(aut, pred.right, psi.guard.right, k)
+        || !may_step(aut, pred.left, psi.guard.left, k)
+    {
+        return None;
+    }
     let mut vars = psi.vars.clone();
     let x = BitExpr::Var(VarId(vars.len() as u32));
     vars.push(k);
@@ -71,7 +79,35 @@ pub fn wp(aut: &Automaton, psi: &ConfRel, pred: &TemplatePair, leaps: bool) -> O
     })
 }
 
-/// One-sided weakest precondition (`WP<` or `WP>`).
+/// Whether one side can step from `pred` into `succ` in a leap of `k`
+/// bits, judged from the templates and the syntactic transition alone.
+/// `false` exactly where [`wp_side`] would return `None` without looking
+/// at the formula; a `select` case can still fold to an unsatisfiable
+/// condition, which [`wp_side`] detects.
+fn may_step(aut: &Automaton, pred: Template, succ: Template, k: usize) -> bool {
+    match pred.target {
+        // Any k ≥ 1 steps land in reject.
+        Target::Accept | Target::Reject => succ == Template::reject(),
+        Target::State(q) => {
+            if k < aut.op_size(q) - pred.buf_len {
+                // Still buffering: the state is unchanged, the buffer grows.
+                succ.target == pred.target && succ.buf_len == pred.buf_len + k
+            } else {
+                succ.buf_len == 0
+                    && match &aut.state(q).trans {
+                        Transition::Goto(t) => *t == succ.target,
+                        Transition::Select { cases, .. } => {
+                            succ.target == Target::Reject
+                                || cases.iter().any(|c| c.target == succ.target)
+                        }
+                    }
+            }
+        }
+    }
+}
+
+/// One-sided weakest precondition (`WP<` or `WP>`), for a step that
+/// [`may_step`] admits.
 #[allow(clippy::too_many_arguments)]
 fn wp_side(
     aut: &Automaton,
@@ -85,29 +121,19 @@ fn wp_side(
 ) -> Option<Pure> {
     match pred.target {
         Target::Accept | Target::Reject => {
-            // Any k ≥ 1 steps land in reject with the store unchanged.
-            if succ != Template::reject() {
-                return None;
-            }
+            // The store is unchanged and the buffer stays empty.
             let identity = |h: HeaderId| BitExpr::Hdr(side, h);
             Some(phi.subst_side(side, &BitExpr::empty(), &identity, ctx))
         }
         Target::State(q) => {
-            let rem = aut.op_size(q) - pred.buf_len;
-            if k < rem {
-                // Still buffering: the state is unchanged, the buffer grows.
-                if succ.target != pred.target || succ.buf_len != pred.buf_len + k {
-                    return None;
-                }
+            if k < aut.op_size(q) - pred.buf_len {
+                // Still buffering: the buffer grows by the consumed bits.
                 let buf = BitExpr::concat(BitExpr::Buf(side), x.clone());
                 let identity = |h: HeaderId| BitExpr::Hdr(side, h);
                 Some(phi.subst_side(side, &buf, &identity, ctx))
             } else {
                 // Transition boundary: run the operation block symbolically
                 // on the full buffer, then constrain the select outcome.
-                if succ.buf_len != 0 {
-                    return None;
-                }
                 let full = BitExpr::concat(BitExpr::Buf(side), x.clone());
                 let store = symbolic_ops(aut, q, side, &full, ctx);
                 let cond = branch_condition(aut, q, &store, succ.target, ctx);

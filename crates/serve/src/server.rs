@@ -558,7 +558,7 @@ fn verify_reply(fleet: &Fleet, pair: &PairSpec, certificate: &Value) -> Value {
     };
     let sum = leapfrog_p4a::sum::sum(&left, &right);
     let reply = match leapfrog_certcheck::check_json(&sum.automaton, &certificate.render()) {
-        Ok(()) => proto::VerifyReply::accepted(),
+        Ok(_) => proto::VerifyReply::accepted(),
         Err(e) => proto::VerifyReply::rejected(e.class(), &e.to_string()),
     };
     proto::verify_reply_to_value(&reply)

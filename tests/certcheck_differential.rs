@@ -50,7 +50,7 @@ fn differential(aut: &Automaton, cert: &Certificate, what: &str) -> Option<&'sta
     let engine = certificate::check(aut, cert);
     let indep = leapfrog_certcheck::check_json(aut, &cert.to_json());
     match (&engine, &indep) {
-        (Ok(()), Ok(())) => None,
+        (Ok(()), Ok(_)) => None,
         (Err(e), Err(i)) => {
             let (ec, ic) = (engine_class(e), i.class());
             assert_eq!(
@@ -67,12 +67,21 @@ fn differential(aut: &Automaton, cert: &Certificate, what: &str) -> Option<&'sta
 fn certcheck_accepts_every_table2_certificate() {
     for bench in standard_benchmarks(Scale::Small) {
         let (aut, cert) = certify(&bench);
-        leapfrog_certcheck::check_json(&aut, &cert.to_json()).unwrap_or_else(|e| {
+        let stats = leapfrog_certcheck::check_json(&aut, &cert.to_json()).unwrap_or_else(|e| {
             panic!(
                 "{}: trust root rejected a valid certificate: {e}",
                 bench.name
             )
         });
+        // The counters are the trust root's regression signal: they must
+        // repeat exactly.
+        assert!(stats.obligations > 0, "{}: {stats:?}", bench.name);
+        assert_eq!(
+            leapfrog_certcheck::check_json(&aut, &cert.to_json()),
+            Ok(stats),
+            "{}: trust-root counters differ between two checks",
+            bench.name
+        );
     }
 }
 
