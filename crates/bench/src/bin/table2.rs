@@ -42,7 +42,9 @@
 //!   reuse was observed at all, if `warm_speedup` lands below 1.0 on
 //!   *every* row (a warm re-run losing everywhere means engine reuse
 //!   regressed), if the witness corpus regressed, if a redirect_case
-//!   mutant is not refuted with a confirmed witness, or if the run
+//!   mutant is not refuted with a confirmed witness or lacks its entry
+//!   (engine seconds, `witness_bits`, `original_bits`) in the JSON
+//!   `mutants` array, or if the run
 //!   regresses against the rolling history baseline (median of the last
 //!   5 comparable snapshots): total runtime above 2× the baseline, or the
 //!   best warm speedup collapsing below 1.0 when the baseline held it at
@@ -69,7 +71,8 @@ use leapfrog::{Engine, EngineConfig, Outcome, QuerySpec};
 use leapfrog_bench::alloc_track::{human_bytes, PeakAlloc};
 use leapfrog_bench::rows::{
     rows_to_json, run_external_filtering_in, run_relational_verification_in, run_row_in,
-    run_translation_validation_in, standard_benchmarks, translation_validation_pair, RowResult,
+    run_translation_validation_in, standard_benchmarks, translation_validation_pair, MutantResult,
+    RowResult,
 };
 use leapfrog_suite::corpus::WitnessCorpus;
 use leapfrog_suite::differential::check_cross_validate_and_record_in;
@@ -496,12 +499,14 @@ fn main() {
     // speculative-loop pair and the applicability parsers) must be refuted
     // with a confirmed witness; the witnesses join the corpus and prior
     // entries replay through the differential harness. The mutants run
-    // through the persistent engine too.
+    // through the persistent engine too, and each one's engine time and
+    // witness size are recorded — the refutation side of the table.
     let mutants = mutant_benchmarks();
+    let mut mutant_results: Vec<MutantResult> = Vec::with_capacity(mutants.len());
     println!();
     println!("Mutated-parser negative suite ({} mutants):", mutants.len());
     for m in &mutants {
-        match check_cross_validate_and_record_in(
+        let checked = check_cross_validate_and_record_in(
             &mut engine,
             &m.left,
             m.left_start,
@@ -509,20 +514,37 @@ fn main() {
             m.right_start,
             m.name,
             &mut corpus,
-        ) {
-            Ok(Outcome::NotEquivalent(_)) => {
+        );
+        let engine_secs = engine.last_run_stats().wall_time.as_secs_f64();
+        let witness_bits = match checked {
+            Ok(Outcome::NotEquivalent(refutation)) => {
                 println!(
-                    "  {}: refuted; {} corpus packet(s)",
+                    "  {}: refuted in {:.2?}; {} corpus packet(s)",
                     m.name,
+                    std::time::Duration::from_secs_f64(engine_secs),
                     corpus.entries(m.name).len()
                 );
+                refutation
+                    .witness()
+                    .map(|w| (w.packet.len(), w.original_bits))
             }
-            Ok(other) => failures.push(format!(
-                "mutant {}: expected NotEquivalent, got {other:?}",
-                m.name
-            )),
-            Err(e) => failures.push(format!("mutant {}: {e}", m.name)),
-        }
+            Ok(other) => {
+                failures.push(format!(
+                    "mutant {}: expected NotEquivalent, got {other:?}",
+                    m.name
+                ));
+                None
+            }
+            Err(e) => {
+                failures.push(format!("mutant {}: {e}", m.name));
+                None
+            }
+        };
+        mutant_results.push(MutantResult {
+            name: m.name.to_string(),
+            engine_secs,
+            witness_bits,
+        });
     }
     if corpus_writable {
         match corpus.save(&corpus_path) {
@@ -537,7 +559,13 @@ fn main() {
     }
 
     // Machine-readable output, so the performance trajectory is recorded.
-    let json = rows_to_json(&measured, witness_confirmed, batch_parallel_speedup, cores);
+    let json = rows_to_json(
+        &measured,
+        &mutant_results,
+        witness_confirmed,
+        batch_parallel_speedup,
+        cores,
+    );
     let path = "BENCH_table2.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("Wrote {path} ({} rows)", measured.len()),
@@ -602,6 +630,16 @@ fn main() {
                 measured.len()
             ));
         }
+    }
+    // The refutation side: one entry per mutant pair, each with a
+    // confirmed witness's length.
+    let confirmed =
+        json.matches("\"witness_bits\": ").count() - json.matches("\"witness_bits\": null").count();
+    if confirmed != mutants.len() {
+        failures.push(format!(
+            "{confirmed}/{} mutant entries carry a confirmed witness",
+            mutants.len()
+        ));
     }
     // WP is computed only for predecessors that can step into the guard,
     // so nearly every call yields a precondition. A sweep over the whole

@@ -118,6 +118,21 @@ impl RowResult {
     }
 }
 
+/// One refuted mutant pair (`mutant_benchmarks()`): the refutation side
+/// of Table 2.
+#[derive(Debug, Clone)]
+pub struct MutantResult {
+    /// Mutant name.
+    pub name: String,
+    /// The engine's wall-clock for the check, witness included
+    /// (`RunStats::wall_time`).
+    pub engine_secs: f64,
+    /// `(witness_bits, original_bits)`: the confirmed witness packet's
+    /// length after and before minimization (`None` when the pair was not
+    /// refuted with a confirmed witness).
+    pub witness_bits: Option<(usize, usize)>,
+}
+
 /// Runs a plain language-equivalence benchmark through a persistent
 /// engine.
 pub fn run_row_in(engine: &mut Engine, bench: &Benchmark) -> RowResult {
@@ -258,9 +273,11 @@ pub use leapfrog_suite::standard_benchmarks;
 /// ratio at 1 vs 4 worker threads — the cross-query parallel axis. It is
 /// measured whenever the host has ≥ 2 cores (or `--batch` forces it);
 /// `cores` records the host parallelism so a `null` ratio is readable as
-/// "not measurable here" rather than "missing".
+/// "not measurable here" rather than "missing". `mutants` lists the
+/// refuted mutant pairs, one entry each.
 pub fn rows_to_json(
     rows: &[(RowResult, Option<usize>)],
+    mutants: &[MutantResult],
     sanity_witness_confirmed: bool,
     batch_parallel_speedup: Option<f64>,
     cores: usize,
@@ -340,6 +357,20 @@ pub fn rows_to_json(
             certcheck_count(row, |c| c.sat_conflicts),
             phases_json(&row.phases),
             if i + 1 < rows.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n  \"mutants\": [\n");
+    for (i, m) in mutants.iter().enumerate() {
+        let (bits, original) = match m.witness_bits {
+            Some((bits, original)) => (bits.to_string(), original.to_string()),
+            None => ("null".into(), "null".into()),
+        };
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"engine_secs\": {:.6}, \"witness_bits\": {bits}, \
+             \"original_bits\": {original}}}{}\n",
+            esc(&m.name),
+            m.engine_secs,
+            if i + 1 < mutants.len() { "," } else { "" },
         ));
     }
     out.push_str(&format!(
@@ -468,7 +499,22 @@ mod tests {
             sat_decisions: 13,
             sat_conflicts: 14,
         });
-        let json = rows_to_json(&[(row, Some(1024))], true, Some(1.5), 4);
+        let mutants = [
+            MutantResult {
+                name: "m\"1".into(),
+                engine_secs: 0.25,
+                witness_bits: Some((12, 656)),
+            },
+            MutantResult {
+                name: "m2".into(),
+                engine_secs: 0.5,
+                witness_bits: None,
+            },
+        ];
+        let json = rows_to_json(&[(row, Some(1024))], &mutants, true, Some(1.5), 4);
+        let doc = leapfrog::json::parse(&json).expect("rows JSON parses");
+        let parsed = leapfrog::json::get(&doc, "mutants").expect("mutants array");
+        assert_eq!(leapfrog::json::as_arr(parsed).unwrap().len(), 2);
         for key in [
             "\"wp_generated\"",
             "\"wp_calls\"",
@@ -499,6 +545,8 @@ mod tests {
             "\"phases\"",
             "\"batch_parallel_speedup\": 1.5000",
             "\"cores\": 4",
+            "{\"name\": \"m\\\"1\", \"engine_secs\": 0.250000, \"witness_bits\": 12, \"original_bits\": 656},",
+            "{\"name\": \"m2\", \"engine_secs\": 0.500000, \"witness_bits\": null, \"original_bits\": null}\n",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -19,7 +19,9 @@
 //!    whole packet chunks along the trace's leap boundaries
 //!    ([`minimize::minimize_chunked`]), then bit-level delta debugging
 //!    ([`minimize::minimize`]) finishes the survivor, zeroing irrelevant
-//!    bits for a canonical result.
+//!    bits for a canonical result. Every candidate packet is replayed
+//!    state by state ([`Config::run`]); the finished witness is confirmed
+//!    again on the bit-level `δ*` ([`Witness::check`]).
 //!
 //! The product is a structured [`Witness`] — stores, packet, symbolic
 //! trace, disagreement — that is self-contained (it owns the sum
@@ -29,6 +31,7 @@
 //! the rare case lifting fails.
 //!
 //! [`Store`]: leapfrog_p4a::semantics::Store
+//! [`Config::run`]: leapfrog_p4a::semantics::Config::run
 
 pub mod engine;
 pub mod minimize;

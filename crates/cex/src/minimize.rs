@@ -13,6 +13,17 @@
 //! option word — usually drops in one aligned deletion. Trying those
 //! chunk-aligned deletions to a fixpoint first removes most of the packet
 //! in O(chunks) replays, leaving per-bit ddmin only the short remainder.
+//!
+//! Both loops judge candidates through a caller-supplied predicate. The
+//! witness engine passes [`Witness::packet_disagrees`], which replays both
+//! runs state by state through [`Config::run`] — one store per run, not a
+//! store copy per bit — so a predicate call costs one pass over the states
+//! the candidate visits. The minimized witness is then confirmed by
+//! [`Witness::check`] on the bit-level `δ*`.
+//!
+//! [`Witness::packet_disagrees`]: crate::Witness::packet_disagrees
+//! [`Witness::check`]: crate::Witness::check
+//! [`Config::run`]: leapfrog_p4a::semantics::Config::run
 
 use leapfrog_bitvec::BitVec;
 

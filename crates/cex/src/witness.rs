@@ -97,21 +97,32 @@ impl Witness {
         &self.aut
     }
 
-    /// Replays the packet through the explicit bit-by-bit semantics from
-    /// both initial configurations, returning the final configurations.
+    /// The two initial configurations the witness's runs start from.
+    fn initial(&self) -> (Config, Config) {
+        (
+            Config::with_store(self.left_start, self.left_store.clone()),
+            Config::with_store(self.right_start, self.right_store.clone()),
+        )
+    }
+
+    /// Replays the packet through the explicit bit-by-bit semantics (`δ*`,
+    /// Definition 3.6) from both initial configurations, returning the
+    /// final configurations.
     pub fn replay(&self) -> (Config, Config) {
-        self.replay_packet(&self.packet)
+        let (c1, c2) = self.initial();
+        (
+            c1.step_word(&self.aut, &self.packet),
+            c2.step_word(&self.aut, &self.packet),
+        )
     }
 
     /// Replays an arbitrary packet from the witness's initial
-    /// configurations (used during minimization).
+    /// configurations state by state ([`Config::run`], which reaches the
+    /// same configurations as [`Witness::replay`]'s `δ*`). Minimization
+    /// replays every candidate packet through it.
     pub fn replay_packet(&self, packet: &BitVec) -> (Config, Config) {
-        let c1 = Config::with_store(self.left_start, self.left_store.clone());
-        let c2 = Config::with_store(self.right_start, self.right_store.clone());
-        (
-            c1.step_word(&self.aut, packet),
-            c2.step_word(&self.aut, packet),
-        )
+        let (c1, c2) = self.initial();
+        (c1.run(&self.aut, packet), c2.run(&self.aut, packet))
     }
 
     /// Whether replaying `packet` reproduces this witness's kind of
@@ -126,8 +137,9 @@ impl Witness {
         }
     }
 
-    /// Re-validates the witness from scratch: replaying the packet must
-    /// reproduce the recorded disagreement.
+    /// Re-validates the witness from scratch: replaying the packet through
+    /// the bit-by-bit semantics ([`Witness::replay`]) must reproduce the
+    /// recorded disagreement.
     pub fn check(&self) -> bool {
         let (d1, d2) = self.replay();
         match &self.disagreement {

@@ -497,6 +497,13 @@ pub fn as_usize(v: &Value) -> Result<usize, JsonError> {
     }
 }
 
+/// Interprets a value as a 32-bit id (state, header or packet variable);
+/// `what` names it in the error for an id past `u32::MAX`.
+pub fn as_u32(v: &Value, what: &str) -> Result<u32, JsonError> {
+    let n = as_usize(v)?;
+    u32::try_from(n).map_err(|_| JsonError::new(format!("{what} {n} out of range")))
+}
+
 /// Interprets a value as a string.
 pub fn as_str(v: &Value) -> Result<&str, JsonError> {
     match v {
@@ -535,7 +542,7 @@ fn target_from_value(v: &Value) -> Result<Target, JsonError> {
         _ => {
             let (t, payload) = untag(v)?;
             if t == "State" {
-                Ok(Target::State(StateId(as_usize(payload)? as u32)))
+                Ok(Target::State(StateId(as_u32(payload, "state id")?)))
             } else {
                 Err(JsonError::new(format!("unknown target tag '{t}'")))
             }
@@ -571,10 +578,10 @@ fn expr_from_value(v: &Value) -> Result<BitExpr, JsonError> {
             }
             Ok(BitExpr::Hdr(
                 side_from_value(&items[0])?,
-                HeaderId(as_usize(&items[1])? as u32),
+                HeaderId(as_u32(&items[1], "header id")?),
             ))
         }
-        "Var" => Ok(BitExpr::Var(VarId(as_usize(payload)? as u32))),
+        "Var" => Ok(BitExpr::Var(VarId(as_u32(payload, "packet variable")?))),
         "Slice" => {
             let items = as_arr(payload)?;
             if items.len() != 3 {
@@ -684,6 +691,19 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1, 2,,]").is_err());
         assert!(parse("{\"a\": 1} trailing").is_err());
+        // Ids past u32::MAX are errors, not wrapped onto id 0.
+        let doc = |text: &str| parse(text).unwrap();
+        assert!(template_from_value(&doc(
+            "{\"target\": {\"State\": 4294967296}, \"buf_len\": 0}"
+        ))
+        .is_err());
+        assert!(expr_from_value(&doc("{\"Hdr\": [\"Left\", 4294967296]}")).is_err());
+        assert!(expr_from_value(&doc("{\"Var\": 4294967296}")).is_err());
+        // The largest id still decodes.
+        assert_eq!(
+            expr_from_value(&doc("{\"Var\": 4294967295}")).unwrap(),
+            BitExpr::Var(VarId(u32::MAX))
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * the typing judgements `⊢E`, `⊢O`, `⊢T`, `⊢A` (Definitions 3.1–3.5's
 //!   side conditions), in [`validate`];
 //! * the operational semantics: the bit-by-bit configuration dynamics `δ`
-//!   of Definition 3.5 and an equivalent chunked interpreter, in
-//!   [`semantics`];
+//!   of Definition 3.5 and an equivalent whole-state run that updates one
+//!   store in place, in [`semantics`];
 //! * disjoint sums of automata for relational reasoning (§4), in [`sum`];
 //! * a surface-syntax parser and pretty-printer for the paper's notation,
 //!   in [`surface`] and [`pretty`].

@@ -10,9 +10,13 @@
 //! `reject`, so a packet is accepted exactly when the configuration reached
 //! *at its end* is accepting.
 //!
-//! [`Config::step_state`] is a chunked interpreter that consumes a whole
-//! state's worth of bits at once; property tests check it against the
-//! bit-by-bit `δ`.
+//! [`Config::run`] computes the same `δ*` a whole state at a time, in one
+//! store: it clones the configuration once, then for each state extracts
+//! and assigns in place, evaluates the transition and clears the buffer.
+//! It is the only chunked interpreter ([`Config::accepts_chunked`] and the
+//! witness minimizer's replays go through it); property tests check that
+//! its final configuration — target, store and buffer — equals the one the
+//! bit-by-bit `δ` reaches.
 
 use leapfrog_bitvec::BitVec;
 
@@ -173,75 +177,42 @@ impl Config {
         self.step_word(aut, word).is_accepting()
     }
 
-    /// Chunked step: consumes exactly the bits needed to complete the
-    /// current state (`‖op(q)‖ - |buf|` bits for a proper state, one bit
-    /// for `accept`/`reject`), returning the next configuration and the
-    /// number of bits consumed. Equivalent to iterating [`Config::step`].
+    /// Whole-state run of `δ*`: the configuration [`Config::step_word`]
+    /// reaches on `word`, computed one state at a time in a single store
+    /// rather than one bit at a time with a store copy per bit.
     ///
-    /// Returns `None` if `input` has fewer bits than required, leaving the
-    /// caller to fall back to bit-by-bit buffering.
-    pub fn step_state(
-        &self,
-        aut: &Automaton,
-        input: &BitVec,
-        pos: usize,
-    ) -> Option<(Config, usize)> {
-        match self.target {
-            Target::Accept | Target::Reject => {
-                if pos < input.len() {
-                    Some((
-                        Config {
-                            target: Target::Reject,
-                            store: self.store.clone(),
-                            buf: BitVec::new(),
-                        },
-                        1,
-                    ))
-                } else {
-                    None
-                }
-            }
-            Target::State(q) => {
-                let need = aut.op_size(q) - self.buf.len();
-                if pos + need > input.len() {
-                    return None;
-                }
-                let full = self.buf.concat(&input.subrange(pos, need));
-                let mut store = self.store.clone();
-                run_ops(aut, q, &mut store, &full);
-                let next = eval_transition(aut, q, &store);
-                Some((
-                    Config {
-                        target: next,
-                        store,
-                        buf: BitVec::new(),
-                    },
-                    need,
-                ))
-            }
-        }
-    }
-
-    /// Fast acceptance check using the chunked interpreter; agrees with
-    /// [`Config::accepts`].
-    pub fn accepts_chunked(&self, aut: &Automaton, word: &BitVec) -> bool {
+    /// Each proper state takes the `‖op(q)‖ - |buf|` bits it still needs,
+    /// runs its operation block in place, actuates its transition and
+    /// clears the buffer; a tail too short to finish the state stays
+    /// buffered. At `accept`/`reject` every further bit steps to `reject`,
+    /// so the rest of the word is absorbed in one step.
+    pub fn run(&self, aut: &Automaton, word: &BitVec) -> Config {
         let mut c = self.clone();
         let mut pos = 0;
-        loop {
-            match c.step_state(aut, word, pos) {
-                Some((next, used)) => {
-                    pos += used;
-                    c = next;
-                }
-                None => {
-                    // Not enough input to finish the state: buffer the rest.
-                    for i in pos..word.len() {
-                        c = c.step(aut, word.get(i).unwrap());
-                    }
-                    return c.is_accepting();
-                }
+        while pos < word.len() {
+            let Target::State(q) = c.target else {
+                c.target = Target::Reject;
+                c.buf = BitVec::new();
+                break;
+            };
+            let need = aut.op_size(q) - c.buf.len();
+            let take = need.min(word.len() - pos);
+            c.buf.extend(&word.subrange(pos, take));
+            pos += take;
+            if take < need {
+                break;
             }
+            run_ops(aut, q, &mut c.store, &c.buf);
+            c.target = eval_transition(aut, q, &c.store);
+            c.buf = BitVec::new();
         }
+        c
+    }
+
+    /// Fast acceptance check through [`Config::run`]; agrees with
+    /// [`Config::accepts`].
+    pub fn accepts_chunked(&self, aut: &Automaton, word: &BitVec) -> bool {
+        self.run(aut, word).is_accepting()
     }
 }
 
@@ -477,6 +448,11 @@ mod tests {
             for _ in 0..5 {
                 let word = BitVec::random_with(len, &mut rng);
                 let init = Config::initial(&aut, q1);
+                assert_eq!(
+                    init.step_word(&aut, &word),
+                    init.run(&aut, &word),
+                    "disagreement on length {len}"
+                );
                 assert_eq!(
                     init.accepts(&aut, &word),
                     init.accepts_chunked(&aut, &word),

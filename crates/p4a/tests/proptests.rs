@@ -1,6 +1,7 @@
-//! Property-based tests for the P4A semantics: the chunked interpreter
-//! agrees with the bit-by-bit `δ` of Definition 3.5 on random automata and
-//! random packets, the pretty-printer round-trips through the surface
+//! Property-based tests for the P4A semantics: the whole-state run reaches
+//! the same configuration as the bit-by-bit `δ` of Definition 3.5 on random
+//! automata and random packets and on the scenario parsers' sums with
+//! steered packets, the pretty-printer round-trips through the surface
 //! parser, and configurations maintain their buffer invariant.
 //!
 //! The offline build has no `proptest`; random automata and packets come
@@ -10,7 +11,9 @@ use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::ast::{Automaton, Expr, Pattern, StateId, Target};
 use leapfrog_p4a::builder::Builder;
 use leapfrog_p4a::semantics::{Config, Store};
-use leapfrog_p4a::walk::Rng;
+use leapfrog_p4a::walk::{packets, Rng};
+use leapfrog_suite::applicability::{datacenter, edge, enterprise, service_provider};
+use leapfrog_suite::Scale;
 
 const CASES: usize = 64;
 
@@ -23,7 +26,13 @@ fn word(rng: &mut Rng, max_len: usize) -> BitVec {
 
 /// A random well-formed automaton with up to 3 states, each extracting
 /// 1–4 bits, with random select/goto transitions.
-fn random_automaton(rng: &mut Rng) -> Automaton {
+///
+/// With `assigns`, every state also shifts its extract into an 8-bit
+/// header `g` after the extract (`g := (h ++ g)[0:7]`) and selects on the
+/// bits shifted in before it — the previous state's extract, or the
+/// initial store's. Without it the draws from `rng` are the same as if the
+/// flag did not exist.
+fn random_automaton(rng: &mut Rng, assigns: bool) -> Automaton {
     let n = 1 + rng.below(3);
     let mut b = Builder::new();
     let states: Vec<StateId> = (0..n).map(|i| b.state(format!("q{i}"))).collect();
@@ -32,9 +41,14 @@ fn random_automaton(rng: &mut Rng) -> Automaton {
         1 => Target::Reject,
         s => Target::State(states[(s - 2) % n]),
     };
+    let g = assigns.then(|| b.header("g", 8));
     for (i, &q) in states.iter().enumerate() {
         let w = 1 + rng.below(4);
         let h = b.header(format!("h{i}"), w);
+        let scrutinee = match g {
+            Some(g) => Expr::slice(Expr::hdr(g), w, 2 * w - 1),
+            None => Expr::hdr(h),
+        };
         let trans = if rng.below(2) == 0 {
             let t = any_target(rng);
             b.goto(t)
@@ -46,18 +60,59 @@ fn random_automaton(rng: &mut Rng) -> Automaton {
                     (vec![pat], any_target(rng))
                 })
                 .collect();
-            b.select(vec![Expr::hdr(h)], cases)
+            b.select(vec![scrutinee], cases)
         };
-        b.define(q, vec![b.extract(h)], trans);
+        let mut ops = vec![b.extract(h)];
+        if let Some(g) = g {
+            let shifted = Expr::slice(Expr::concat(Expr::hdr(h), Expr::hdr(g)), 0, 7);
+            ops.push(b.assign(g, shifted));
+        }
+        b.define(q, ops, trans);
     }
     b.build().expect("generated automaton is well-formed")
 }
 
+/// A store drawn from `rng`.
+fn random_store(aut: &Automaton, rng: &mut Rng) -> Store {
+    Store::random(aut, || rng.next_u64())
+}
+
+/// How often the configurations compared by [`assert_same_run`] ended
+/// mid-state or ran past `accept`/`reject`.
+#[derive(Default)]
+struct Coverage {
+    mid_state: usize,
+    past_final: usize,
+}
+
+/// Asserts that [`Config::run`] reaches the configuration — target, store
+/// and buffer — that the bit-by-bit `δ*` reaches on `word`, and counts
+/// whether the word ended mid-state or ran past a final configuration.
+fn assert_same_run(aut: &Automaton, init: &Config, word: &BitVec, cov: &mut Coverage) {
+    let mut slow = init.clone();
+    let mut past_final = false;
+    for bit in word.iter() {
+        past_final |= !matches!(slow.target, Target::State(_));
+        slow = slow.step(aut, bit);
+    }
+    assert_eq!(init.run(aut, word), slow, "run and δ* disagree on {word}");
+    cov.mid_state += usize::from(!slow.buf.is_empty());
+    cov.past_final += usize::from(past_final);
+}
+
+/// [`assert_same_run`] on every prefix of `word`.
+fn assert_same_run_on_prefixes(aut: &Automaton, init: &Config, word: &BitVec, cov: &mut Coverage) {
+    for k in 0..=word.len() {
+        assert_same_run(aut, init, &word.subrange(0, k), cov);
+    }
+}
+
 #[test]
 fn chunked_interpreter_agrees_with_bit_by_bit() {
+    let mut cov = Coverage::default();
     let mut rng = Rng::new(0xc41c);
     for _ in 0..CASES {
-        let aut = random_automaton(&mut rng);
+        let aut = random_automaton(&mut rng, false);
         let word = word(&mut rng, 40);
         let mut seed = rng.next_u64() | 1;
         let mut store_rng = move || {
@@ -66,17 +121,63 @@ fn chunked_interpreter_agrees_with_bit_by_bit() {
         };
         let store = Store::random(&aut, &mut store_rng);
         let q = StateId(0);
-        let slow = Config::with_store(q, store.clone()).accepts(&aut, &word);
-        let fast = Config::with_store(q, store).accepts_chunked(&aut, &word);
-        assert_eq!(slow, fast);
+        let init = Config::with_store(q, store);
+        assert_eq!(init.accepts(&aut, &word), init.accepts_chunked(&aut, &word));
+        assert_same_run_on_prefixes(&aut, &init, &word, &mut cov);
     }
+
+    // States that assign after they extract, from random stores: the
+    // assigned header feeds the next select and ends up in the final store.
+    let mut rng = Rng::new(0xa551);
+    for _ in 0..CASES {
+        let aut = random_automaton(&mut rng, true);
+        let word = word(&mut rng, 40);
+        let init = Config::with_store(StateId(0), random_store(&aut, &mut rng));
+        assert_same_run_on_prefixes(&aut, &init, &word, &mut cov);
+    }
+
+    // The scenario parsers' sums, from both copies' start states, on
+    // steered packets and on truncated and bit-flipped copies of them.
+    let scenarios = [
+        edge(Scale::Small),
+        service_provider(Scale::Small),
+        datacenter(Scale::Small),
+        enterprise(Scale::Small),
+    ];
+    let mut rng = Rng::new(0x5ce7);
+    for parser in &scenarios {
+        let s = leapfrog_p4a::sum::sum(parser, parser);
+        let aut = &s.automaton;
+        let eth = parser.state_by_name("parse_eth").unwrap();
+        for start in [s.left_state(eth), s.right_state(eth)] {
+            for packet in packets(aut, start, 16, 6, rng.next_u64()) {
+                let truncated = packet.subrange(0, rng.below(packet.len() + 1));
+                let mut flipped = packet.clone();
+                if !packet.is_empty() {
+                    let i = rng.below(packet.len());
+                    flipped.set(i, !packet.get(i).unwrap());
+                }
+                let store = random_store(aut, &mut rng);
+                for word in [&packet, &truncated, &flipped] {
+                    for init in [
+                        Config::initial(aut, start),
+                        Config::with_store(start, store.clone()),
+                    ] {
+                        assert_same_run(aut, &init, word, &mut cov);
+                    }
+                }
+            }
+        }
+    }
+    assert!(cov.mid_state > 0, "no word ended mid-state");
+    assert!(cov.past_final > 0, "no word ran past accept/reject");
 }
 
 #[test]
 fn buffer_invariant_holds_along_any_run() {
     let mut rng = Rng::new(0xb0ff);
     for _ in 0..CASES {
-        let aut = random_automaton(&mut rng);
+        let aut = random_automaton(&mut rng, false);
         let word = word(&mut rng, 32);
         let mut c = Config::initial(&aut, StateId(0));
         for bit in word.iter() {
@@ -93,7 +194,7 @@ fn buffer_invariant_holds_along_any_run() {
 fn pretty_print_parse_roundtrip() {
     let mut rng = Rng::new(0x9e77);
     for _ in 0..CASES {
-        let aut = random_automaton(&mut rng);
+        let aut = random_automaton(&mut rng, false);
         let text = leapfrog_p4a::pretty::pretty(&aut, "Gen");
         let back = leapfrog_p4a::surface::parse(&text).expect("pretty output must re-parse");
         assert_eq!(back.num_states(), aut.num_states());
@@ -112,7 +213,7 @@ fn pretty_print_parse_roundtrip() {
 fn sum_preserves_acceptance() {
     let mut rng = Rng::new(0x5053);
     for _ in 0..CASES {
-        let aut = random_automaton(&mut rng);
+        let aut = random_automaton(&mut rng, false);
         let word = word(&mut rng, 24);
         let other = aut.clone();
         let s = leapfrog_p4a::sum::sum(&aut, &other);
@@ -131,7 +232,7 @@ fn sum_preserves_acceptance() {
 fn accept_configurations_absorb_into_reject() {
     let mut rng = Rng::new(0xabab);
     for _ in 0..CASES {
-        let aut = random_automaton(&mut rng);
+        let aut = random_automaton(&mut rng, false);
         let word = word(&mut rng, 24);
         // Any strict extension of an accepted word is rejected.
         let c = Config::initial(&aut, StateId(0)).step_word(&aut, &word);

@@ -571,7 +571,7 @@ pub fn wire_witness_from_value(v: &Value) -> Result<WireWitness, String> {
     let err = |e: json::JsonError| e.to_string();
     let start = |v: &Value| -> Result<(u32, String), String> {
         Ok((
-            json::as_usize(json::get(v, "id").map_err(err)?).map_err(err)? as u32,
+            json::as_u32(json::get(v, "id").map_err(err)?, "start state id").map_err(err)?,
             json::as_str(json::get(v, "name").map_err(err)?)
                 .map_err(err)?
                 .to_string(),

@@ -102,6 +102,88 @@ fn long_mutant_witnesses_roundtrip() {
     );
 }
 
+/// The field `key` of a JSON object.
+fn field<'a>(v: &'a mut json::Value, key: &str) -> &'a mut json::Value {
+    match v {
+        json::Value::Obj(fields) => {
+            &mut fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("no field \"{key}\""))
+                .1
+        }
+        other => panic!("expected an object, got {other:?}"),
+    }
+}
+
+/// The witness inside a `NotEquivalent` wire outcome.
+fn witness(outcome: &mut json::Value) -> &mut json::Value {
+    field(field(outcome, "NotEquivalent"), "Witness")
+}
+
+/// An `InitRelation` disagreement whose formula reads header `HDR` and
+/// packet variable `VAR`.
+const INIT_RELATION: &str = r#"{"InitRelation": {
+    "relation": {
+        "guard": {"left": {"target": "Accept", "buf_len": 0},
+                  "right": {"target": "Accept", "buf_len": 0}},
+        "vars": [1],
+        "phi": {"Eq": [{"Hdr": ["Left", HDR]}, {"Var": VAR}]}},
+    "vals": ["1"]}}"#;
+
+#[test]
+fn out_of_range_ids_are_rejected() {
+    // The sanity pair's wire witness with one id set at a time: the
+    // largest u32 decodes, one past it is an error rather than id 0.
+    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
+    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
+    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
+    let outcome = outcome_to_value(&check_language_equivalence(&sloppy, ql, &strict, qr));
+    let init_relation = |hdr: &str, var: &str| {
+        json::parse(&INIT_RELATION.replace("HDR", hdr).replace("VAR", var)).unwrap()
+    };
+    type Tamper<'a> = Box<dyn Fn(&mut json::Value, &str) + 'a>;
+    let cases: [(&str, Tamper); 4] = [
+        (
+            "witness start state",
+            Box::new(|v, id| {
+                *field(field(witness(v), "left_start"), "id") = json::parse(id).unwrap();
+            }),
+        ),
+        (
+            "trace state",
+            Box::new(|v, id| {
+                let json::Value::Arr(trace) = field(witness(v), "trace") else {
+                    panic!("trace is an array");
+                };
+                *field(field(&mut trace[0], "left"), "target") =
+                    json::parse(&format!("{{\"State\": {id}}}")).unwrap();
+            }),
+        ),
+        (
+            "relation header",
+            Box::new(|v, id| *field(witness(v), "disagreement") = init_relation(id, "0")),
+        ),
+        (
+            "relation packet variable",
+            Box::new(|v, id| *field(witness(v), "disagreement") = init_relation("0", id)),
+        ),
+    ];
+    for (what, tamper) in &cases {
+        for (id, decodes) in [("4294967295", true), ("4294967296", false)] {
+            let mut v = outcome.clone();
+            tamper(&mut v, id);
+            match wire_outcome_from_value(&v) {
+                Ok(_) => assert!(decodes, "{what} {id} decoded"),
+                Err(e) => {
+                    assert!(!decodes, "{what} {id} rejected: {e}");
+                    assert!(e.contains("out of range"), "{what}: unexpected error: {e}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn aborted_outcome_roundtrips() {
     let outcome = Outcome::Aborted("iteration budget 7 exhausted with |R| = 3".into());
