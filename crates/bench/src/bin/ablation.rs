@@ -87,45 +87,6 @@ fn run_lbd(bench: &Benchmark, lbd: bool) -> (leapfrog::Outcome, u64) {
     (outcome, stats.queries.queries)
 }
 
-/// The portfolio ablation: re-runs the solver-heavy applicability rows
-/// with SAT portfolio racing at the given lane count (`0` = the
-/// single-solver baseline), with the racing floor forced to zero so every
-/// entailment solve actually races. The canonical lane always completes
-/// its own unperturbed search, so verdicts, witnesses *and* the query
-/// trajectory must be identical at every lane count — the section
-/// hard-fails on any divergence.
-fn run_portfolio(bench: &Benchmark, lanes: usize) -> (leapfrog::Outcome, u64) {
-    let mut engine = EngineConfig::from_env()
-        .sat_portfolio(lanes)
-        .sat_portfolio_min_clauses(0)
-        .build();
-    ALLOC.reset();
-    let start = Instant::now();
-    let outcome = engine.check(
-        &bench.left,
-        bench.left_start,
-        &bench.right,
-        bench.right_start,
-    );
-    let stats = engine.last_run_stats();
-    println!(
-        "{:<22} lanes={:<2} -> {:<10} {:>10} races={:<6} solo={:<8} wins={:?} mem={}",
-        bench.name,
-        lanes,
-        match outcome {
-            leapfrog::Outcome::Equivalent(_) => "verified",
-            leapfrog::Outcome::NotEquivalent(_) => "refuted",
-            leapfrog::Outcome::Aborted(_) => "aborted",
-        },
-        format!("{:.2?}", start.elapsed()),
-        stats.queries.portfolio.races,
-        stats.queries.portfolio.solo,
-        &stats.queries.portfolio.wins[..lanes.min(stats.queries.portfolio.wins.len())],
-        human_bytes(ALLOC.peak_bytes()),
-    );
-    (outcome, stats.queries.queries)
-}
-
 fn main() {
     println!("Leapfrog-rs — §7.3 ablation (iteration budget caps runaway configurations)");
     let budget = 200_000;
@@ -152,24 +113,6 @@ fn main() {
         assert_eq!(
             on_queries, off_queries,
             "{}: LBD toggle changed the query trajectory",
-            bench.name
-        );
-    }
-
-    println!();
-    println!("SAT portfolio ablation (single solver vs 2-lane racing)");
-    for bench in applicability::all_benchmarks(Scale::from_env()) {
-        let (off, off_queries) = run_portfolio(&bench, 0);
-        let (racing, racing_queries) = run_portfolio(&bench, 2);
-        assert_eq!(
-            std::mem::discriminant(&off),
-            std::mem::discriminant(&racing),
-            "{}: the portfolio changed the verdict",
-            bench.name
-        );
-        assert_eq!(
-            off_queries, racing_queries,
-            "{}: the portfolio changed the query trajectory",
             bench.name
         );
     }

@@ -21,14 +21,14 @@
 
 use std::time::{Duration, Instant};
 
-use leapfrog::{Engine, EngineConfig, Options};
+use leapfrog::EngineConfig;
 use leapfrog_bench::rows::run_row_in;
 use leapfrog_suite::{standard_benchmarks, Scale};
 
 /// One pass of the whole small-scale table through a fresh engine.
 fn run_table_once() -> Duration {
     let benches = standard_benchmarks(Scale::Small);
-    let mut engine = Engine::new(EngineConfig::from_options(&Options::default()));
+    let mut engine = EngineConfig::from_env().build();
     let start = Instant::now();
     for b in &benches {
         let row = run_row_in(&mut engine, b);

@@ -609,8 +609,6 @@ fn main() {
         "\"peak_live_clauses\"",
         "\"sat_conflicts\"",
         "\"sat_propagations\"",
-        "\"portfolio_lanes\"",
-        "\"portfolio_win_histogram\"",
         "\"cold_t1_secs\"",
         "\"cold_t4_secs\"",
         "\"warm_speedup\"",

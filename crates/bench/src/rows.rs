@@ -68,11 +68,6 @@ pub struct RowResult {
     pub sat_conflicts: u64,
     /// CDCL unit propagations across every SAT solve of the run.
     pub sat_propagations: u64,
-    /// Configured SAT portfolio lanes (0 when no portfolio raced — the
-    /// single-solver baseline).
-    pub portfolio_lanes: u64,
-    /// Portfolio races won per lane index (all-zero without a portfolio).
-    pub portfolio_wins: Vec<u64>,
     /// Cold wall-clock of this row on a transient engine pinned to 1
     /// worker thread — the intra-query parallel axis's baseline point
     /// (`None` when the host cannot measure it).
@@ -153,12 +148,18 @@ pub fn run_row_in(engine: &mut Engine, bench: &Benchmark) -> RowResult {
     )
 }
 
+/// A transient engine answering queries of shape `options`, its other
+/// knobs from the environment.
+fn transient(options: Options) -> Engine {
+    Engine::new(EngineConfig {
+        options,
+        ..EngineConfig::from_env()
+    })
+}
+
 /// [`run_row_in`] over a transient engine configured from `options`.
 pub fn run_row(bench: &Benchmark, options: Options) -> RowResult {
-    run_row_in(
-        &mut Engine::new(EngineConfig::from_options(&options)),
-        bench,
-    )
+    run_row_in(&mut transient(options), bench)
 }
 
 /// The external-filtering row: sloppy vs strict modulo an EtherType filter
@@ -188,7 +189,7 @@ pub fn run_external_filtering_in(engine: &mut Engine) -> RowResult {
 
 /// [`run_external_filtering_in`] over a transient engine.
 pub fn run_external_filtering(options: Options) -> RowResult {
-    run_external_filtering_in(&mut Engine::new(EngineConfig::from_options(&options)))
+    run_external_filtering_in(&mut transient(options))
 }
 
 /// The relational-verification row: store correspondence at acceptance
@@ -217,7 +218,7 @@ pub fn run_relational_verification_in(engine: &mut Engine) -> RowResult {
 
 /// [`run_relational_verification_in`] over a transient engine.
 pub fn run_relational_verification(options: Options) -> RowResult {
-    run_relational_verification_in(&mut Engine::new(EngineConfig::from_options(&options)))
+    run_relational_verification_in(&mut transient(options))
 }
 
 /// The automaton pair the translation-validation row checks: the Edge
@@ -254,10 +255,7 @@ pub fn run_translation_validation_in(engine: &mut Engine, scale: Scale) -> RowRe
 
 /// [`run_translation_validation_in`] over a transient engine.
 pub fn run_translation_validation(scale: Scale, options: Options) -> RowResult {
-    run_translation_validation_in(
-        &mut Engine::new(EngineConfig::from_options(&options)),
-        scale,
-    )
+    run_translation_validation_in(&mut transient(options), scale)
 }
 
 /// All six utility rows plus the applicability self-comparisons at the
@@ -297,8 +295,7 @@ pub fn rows_to_json(
              \"speedup\": {}, \"cegar_rounds\": {}, \"blocks_validated\": {}, \
              \"blocks_considered\": {}, \"session_rebuilds\": {}, \
              \"peak_live_clauses\": {}, \"sat_conflicts\": {}, \
-             \"sat_propagations\": {}, \"portfolio_lanes\": {}, \
-             \"portfolio_win_histogram\": [{}], \"cold_t1_secs\": {}, \
+             \"sat_propagations\": {}, \"cold_t1_secs\": {}, \
              \"cold_t4_secs\": {}, \"warm_speedup\": {}, \
              \"sessions_reused\": {}, \"sum_cache_hits\": {}, \
              \"entailment_memo_hits\": {}, \"certcheck_secs\": {}, \
@@ -330,12 +327,6 @@ pub fn rows_to_json(
             row.peak_live_clauses,
             row.sat_conflicts,
             row.sat_propagations,
-            row.portfolio_lanes,
-            row.portfolio_wins
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
             row.cold_t1
                 .map(|d| format!("{:.6}", d.as_secs_f64()))
                 .unwrap_or_else(|| "null".into()),
@@ -440,8 +431,6 @@ fn finish(
         peak_live_clauses: stats.queries.live_clauses_peak,
         sat_conflicts: stats.queries.sat.conflicts,
         sat_propagations: stats.queries.sat.propagations,
-        portfolio_lanes: stats.queries.portfolio.lanes,
-        portfolio_wins: stats.queries.portfolio.wins.to_vec(),
         cold_t1: None,
         cold_t4: None,
         warm_speedup: None,
@@ -529,8 +518,6 @@ mod tests {
             "\"peak_live_clauses\"",
             "\"sat_conflicts\"",
             "\"sat_propagations\"",
-            "\"portfolio_lanes\"",
-            "\"portfolio_win_histogram\"",
             "\"cold_t1_secs\": 0.500000",
             "\"cold_t4_secs\": 0.250000",
             "\"warm_speedup\": 2.0000",
@@ -592,7 +579,7 @@ mod tests {
         // through one engine; the warm pass must report reuse and agree on
         // the verdict and relation size.
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let mut engine = Engine::new(EngineConfig::from_options(&Options::default()));
+        let mut engine = EngineConfig::from_env().build();
         let mut cold = run_row_in(&mut engine, &bench);
         let warm = run_row_in(&mut engine, &bench);
         assert!(cold.verified && warm.verified);

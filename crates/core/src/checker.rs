@@ -4,9 +4,9 @@
 //! ablation).
 //!
 //! Since the persistent-engine redesign, this module is a *thin wrapper*:
-//! a [`Checker`] owns a transient [`Engine`] configured
-//! from its [`Options`] and delegates the actual worklist run to it (see
-//! [`crate::engine`] for the algorithm and the warm-state machinery).
+//! a [`Checker`] owns a transient [`Engine`] and delegates the actual
+//! worklist run to it (see [`crate::engine`] for the algorithm and the
+//! warm-state machinery).
 //! Certificates and witnesses are byte-identical whichever entry point is
 //! used — a one-shot [`check_language_equivalence`], a cold engine, or a
 //! warm engine re-checking a pair it has seen before (asserted in
@@ -19,18 +19,15 @@ use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::sum::Sum;
 
 use crate::certificate::Certificate;
-use crate::engine::{
-    portfolio_min_clauses_from_env, session_gc_floor_from_env, session_gc_from_env,
-    strict_witness_from_env, threads_from_env, Engine, EngineConfig, PairId, QueryRequest,
-};
+use crate::engine::{Engine, EngineConfig, PairId, QueryRequest};
 use crate::stats::RunStats;
 
-/// Tuning knobs for one query. The defaults enable every optimization
-/// described in the paper; the §7.3 ablation disables them selectively.
-/// [`Options::default`] reads the `LEAPFROG_*` environment variables —
-/// the typed, env-free configuration path is
-/// [`EngineConfig`].
-#[derive(Debug, Clone, Copy)]
+/// The shape of one query: the four knobs that change *what* is
+/// computed. The defaults enable every optimization described in the
+/// paper; the §7.3 ablation disables them selectively. Everything that
+/// only changes how fast a query runs (threads, caches, session GC, the
+/// SAT policy) lives on [`EngineConfig`]. Reads no environment variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Options {
     /// Use bisimulations with leaps (§5.2). Disabling falls back to
     /// bit-by-bit weakest preconditions.
@@ -44,54 +41,6 @@ pub struct Options {
     pub early_stop: bool,
     /// Abort after this many worklist iterations (`None` = unbounded).
     pub max_iterations: Option<u64>,
-    /// Worker threads for frontier-generation entailment checks. `0`
-    /// means "use available parallelism"; `1` runs the classic sequential
-    /// loop. Results are bit-identical at every setting. Defaults from
-    /// `LEAPFROG_THREADS`.
-    pub threads: usize,
-    /// Treat an unconfirmed refutation witness as a hard error (panic) for
-    /// standard language-equivalence queries, where lifting must succeed.
-    /// Defaults from `LEAPFROG_STRICT_WITNESS=1`. Relational queries with
-    /// a caller-supplied initial relation are exempt: no sound generic
-    /// search exists for arbitrary relational conjuncts.
-    pub strict_witness: bool,
-    /// Clause-budget GC for the per-guard incremental sessions: a session
-    /// rebuilds its solver context (re-seeding premises and persisted
-    /// CEGAR instantiations) once the clauses retired by finished queries
-    /// exceed `ratio ×` its live clauses. `None` disables the GC (contexts
-    /// grow without bound, the pre-GC behaviour). Defaults from
-    /// `LEAPFROG_SESSION_GC` (`0` = off, a float = the ratio, unset = 4).
-    /// Results are bit-identical at every setting.
-    pub session_gc_ratio: Option<f64>,
-    /// Live-clause floor for the session GC: a context holding fewer live
-    /// clauses than this never rebuilds — small cache-served sessions
-    /// churn retired clauses quickly, and rebuilding them costs more than
-    /// it reclaims. Defaults from `LEAPFROG_SESSION_GC_FLOOR` (unset =
-    /// 512). Results are bit-identical at every setting.
-    pub session_gc_floor: u64,
-    /// Whether the cross-query structural CNF cache is enabled. Defaults
-    /// from `LEAPFROG_NO_BLAST_CACHE` (set `=1` to disable). Results are
-    /// identical either way.
-    pub blast_cache: bool,
-    /// Glucose-style two-tier LBD learnt-clause management in the CDCL
-    /// core (off falls back to activity-only deletion — the ablation
-    /// baseline). Defaults from `LEAPFROG_SAT_LBD` (set `=0` to disable).
-    /// Verdicts and witnesses are identical either way; only solver
-    /// wall-clock changes.
-    pub sat_lbd: bool,
-    /// SAT portfolio racing: the number of differently-configured CDCL
-    /// lanes racing each sufficiently large entailment solve (first answer
-    /// wins, deterministic tie-break, models always from the canonical
-    /// lane 0). `0` or `1` disable racing. Defaults from
-    /// `LEAPFROG_SAT_PORTFOLIO`. Certificates and witnesses are
-    /// byte-identical at every lane count; only wall-clock changes.
-    pub sat_portfolio: usize,
-    /// Racing floor for the SAT portfolio: entailment solves on contexts
-    /// holding fewer live clauses than this run on the canonical lane
-    /// alone instead of spawning race threads. Defaults from
-    /// `LEAPFROG_SAT_PORTFOLIO_MIN_CLAUSES` (unset = 1024). Results are
-    /// bit-identical at every setting.
-    pub sat_portfolio_min_clauses: usize,
 }
 
 impl Default for Options {
@@ -101,34 +50,6 @@ impl Default for Options {
             reach_pruning: true,
             early_stop: true,
             max_iterations: None,
-            threads: threads_from_env(),
-            strict_witness: strict_witness_from_env(),
-            session_gc_ratio: session_gc_from_env(),
-            session_gc_floor: session_gc_floor_from_env(),
-            blast_cache: std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1"),
-            sat_lbd: std::env::var("LEAPFROG_SAT_LBD").as_deref() != Ok("0"),
-            sat_portfolio: std::env::var("LEAPFROG_SAT_PORTFOLIO")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            sat_portfolio_min_clauses: portfolio_min_clauses_from_env(),
-        }
-    }
-}
-
-/// The default retired-to-live clause ratio that triggers a session
-/// context rebuild.
-pub const DEFAULT_SESSION_GC_RATIO: f64 = 4.0;
-
-impl Options {
-    /// The worker-thread count this configuration resolves to.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -181,13 +102,13 @@ pub struct Checker {
     extra_init: Vec<ConfRel>,
     standard_init: bool,
     query: ConfRel,
-    options: Options,
     stats: RunStats,
 }
 
 impl Checker {
     /// Sets up a check that `left` started in `ql` and `right` started in
-    /// `qr` accept the same packets, regardless of initial stores.
+    /// `qr` accept the same packets, regardless of initial stores. The
+    /// engine's knobs come from [`EngineConfig::from_env`].
     pub fn new(
         left: &Automaton,
         ql: StateId,
@@ -195,7 +116,23 @@ impl Checker {
         qr: StateId,
         options: Options,
     ) -> Checker {
-        let mut engine = Engine::new(EngineConfig::from_options(&options));
+        let config = EngineConfig {
+            options,
+            ..EngineConfig::from_env()
+        };
+        Checker::with_config(left, ql, right, qr, config)
+    }
+
+    /// [`Checker::new`] over an engine built from an explicit
+    /// configuration, query shape included.
+    pub fn with_config(
+        left: &Automaton,
+        ql: StateId,
+        right: &Automaton,
+        qr: StateId,
+        config: EngineConfig,
+    ) -> Checker {
+        let mut engine = Engine::new(config);
         let pair = engine.prepare_pair(left, ql, right, qr);
         let query = ConfRel::trivial(engine.root(pair));
         Checker {
@@ -204,7 +141,6 @@ impl Checker {
             extra_init: Vec::new(),
             standard_init: true,
             query,
-            options,
             stats: RunStats::default(),
         }
     }
@@ -266,7 +202,7 @@ impl Checker {
             standard_init: self.standard_init,
             extra_init: self.extra_init.clone(),
             query: self.query.clone(),
-            options: self.options,
+            options: self.engine.config().options,
         };
         let outcome = self.engine.run_prepared(self.pair, &request);
         self.stats = self.engine.last_run_stats().clone();
@@ -580,11 +516,8 @@ mod tests {
         .unwrap();
         let mut sizes = Vec::new();
         for threads in [1, 2, 8] {
-            let opts = Options {
-                threads,
-                ..Options::default()
-            };
-            let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
+            let config = EngineConfig::from_env().threads(threads);
+            let mut c = Checker::with_config(&a, state(&a, "s"), &b, state(&b, "s"), config);
             assert!(c.run().is_equivalent(), "threads={threads}");
             sizes.push((c.stats().extended, c.stats().iterations));
         }
@@ -642,11 +575,8 @@ mod tests {
                select(h) { 0b10 => accept; _ => reject; } } }",
         )
         .unwrap();
-        let opts = Options {
-            strict_witness: true,
-            ..Options::default()
-        };
-        let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
+        let config = EngineConfig::from_env().strict_witness(true);
+        let mut c = Checker::with_config(&a, state(&a, "s"), &b, state(&b, "s"), config);
         match c.run() {
             Outcome::NotEquivalent(r) => assert!(r.is_confirmed()),
             other => panic!("expected NotEquivalent, got {other:?}"),

@@ -63,14 +63,17 @@ use leapfrog_obs::{trace, Phase};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::sum::{sum, Sum};
 use leapfrog_smt::{
-    CheckResult, InstLedger, PortfolioConfig, QueryStats, SharedBlastCache, SmtSolver,
-    SolverConfig, DEFAULT_PORTFOLIO_MIN_CLAUSES, LBD_BUCKETS, MAX_PORTFOLIO_LANES,
+    CheckResult, InstLedger, QueryStats, SharedBlastCache, SmtSolver, SolverConfig, LBD_BUCKETS,
 };
 
 use crate::certificate::Certificate;
 use crate::checker::{strict_witness_violation, Options, Outcome};
 use crate::json::{self, Value};
 use crate::stats::RunStats;
+
+/// The default retired-to-live clause ratio that triggers a session
+/// context rebuild.
+pub const DEFAULT_SESSION_GC_RATIO: f64 = 4.0;
 
 /// The default live-clause floor under which the session GC never
 /// rebuilds a context.
@@ -85,9 +88,10 @@ pub const STATE_MEMO_FILE: &str = "warm_memos.json";
 /// File inside a state directory holding the serialized witness corpus.
 pub const STATE_CORPUS_FILE: &str = "corpus.txt";
 
-/// Typed, buildable configuration for an [`Engine`]. Subsumes every
-/// `LEAPFROG_*` tuning variable ([`EngineConfig::from_env`] is the compat
-/// path); the builder methods are the first-class one.
+/// Typed, buildable configuration for an [`Engine`]: the one home of every
+/// engine knob. [`EngineConfig::from_env`] is the only place the
+/// `LEAPFROG_*` tuning variables are read; the builder methods are the
+/// first-class path.
 ///
 /// | Env var | Config field |
 /// |---|---|
@@ -97,51 +101,45 @@ pub const STATE_CORPUS_FILE: &str = "corpus.txt";
 /// | `LEAPFROG_STRICT_WITNESS` | [`strict_witness`](Self::strict_witness) |
 /// | `LEAPFROG_NO_BLAST_CACHE` | [`blast_cache`](Self::blast_cache) |
 /// | `LEAPFROG_SAT_LBD` | [`sat_lbd`](Self::sat_lbd) |
-/// | `LEAPFROG_SAT_PORTFOLIO` | [`sat_portfolio`](Self::sat_portfolio) |
-/// | `LEAPFROG_SAT_PORTFOLIO_MIN_CLAUSES` | [`sat_portfolio_min_clauses`](Self::sat_portfolio_min_clauses) |
 /// | `LEAPFROG_WARM_CAP` | [`warm_capacity`](Self::warm_capacity) |
 ///
-/// Only `leaps`, `reach_pruning`, `early_stop` and `max_iterations`
-/// change *what* is computed (they are part of a query's semantic shape);
-/// everything else changes how fast.
+/// Only [`options`](Self::options) changes *what* is computed (it is the
+/// default shape of every query the engine answers); everything else
+/// changes how fast.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Use bisimulations with leaps (§5.2).
-    pub leaps: bool,
-    /// Prune the search to reachable template pairs (§5.1).
-    pub reach_pruning: bool,
-    /// Report non-equivalence as soon as a contradicting relation joins
-    /// `R` instead of only at the final `Close` step.
-    pub early_stop: bool,
-    /// Abort after this many worklist iterations (`None` = unbounded).
-    pub max_iterations: Option<u64>,
+    /// The default query shape: leaps, reachability pruning, early stop
+    /// and the iteration budget. [`Engine::standard_request`] copies it
+    /// into every standard request.
+    pub options: Options,
     /// Worker threads (`0` = available parallelism). Inside one query they
     /// parallelize frontier generations; across a batch they parallelize
-    /// whole queries.
+    /// whole queries. Results are bit-identical at every setting.
     pub threads: usize,
-    /// Hard-error on unconfirmed witnesses for standard queries.
+    /// Treat an unconfirmed refutation witness as a hard error (panic) for
+    /// standard language-equivalence queries, where lifting must succeed.
+    /// Relational queries with a caller-supplied initial relation are
+    /// exempt: no sound generic search exists for arbitrary relational
+    /// conjuncts.
     pub strict_witness: bool,
-    /// Session clause-budget GC ratio (`None` = off).
-    pub session_gc_ratio: Option<f64>,
-    /// Live-clause floor under which a session never rebuilds.
-    pub session_gc_floor: u64,
-    /// Whether the shared structural CNF cache is enabled.
-    pub blast_cache: bool,
-    /// Glucose-style two-tier LBD learnt-clause management in the CDCL
-    /// core (off = activity-only deletion, the ablation baseline).
-    /// Verdicts and witnesses are identical either way.
-    pub sat_lbd: bool,
-    /// SAT portfolio racing lanes for entailment-session solves: `0`/`1`
-    /// run the single canonical solver; `n ≥ 2` race `n`
-    /// differently-configured CDCL lanes per sufficiently large solve,
-    /// first answer wins. Models are always the canonical lane's, so
-    /// certificates and witnesses are byte-identical at every lane count.
-    pub sat_portfolio: usize,
-    /// Racing floor for the SAT portfolio: an entailment session holding
-    /// fewer live clauses than this solves on the canonical lane alone
-    /// (thread startup costs more than small instances take to solve).
+    /// Clause-budget GC for the per-guard incremental sessions: a session
+    /// rebuilds its solver context (re-seeding premises and persisted
+    /// CEGAR instantiations) once the clauses retired by finished queries
+    /// exceed `ratio ×` its live clauses. `None` disables the GC.
     /// Results are bit-identical at every setting.
-    pub sat_portfolio_min_clauses: usize,
+    pub session_gc_ratio: Option<f64>,
+    /// Live-clause floor for the session GC: a context holding fewer live
+    /// clauses than this never rebuilds — small cache-served sessions
+    /// churn retired clauses quickly, and rebuilding them costs more than
+    /// it reclaims. Results are bit-identical at every setting.
+    pub session_gc_floor: u64,
+    /// Whether the shared structural CNF cache is enabled. Results are
+    /// identical either way.
+    pub blast_cache: bool,
+    /// Glucose-style two-tier LBD learnt-clause management in every CDCL
+    /// solve the engine runs (off = activity-only deletion, the ablation
+    /// baseline). Verdicts and witnesses are identical either way.
+    pub sat_lbd: bool,
     /// LRU capacity bound on the warm-state maps (`0` = unbounded): at
     /// most this many warm query-shape states, interned pairs, resident
     /// guard sessions per pool and instantiation-ledger entries stay
@@ -158,18 +156,13 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            leaps: true,
-            reach_pruning: true,
-            early_stop: true,
-            max_iterations: None,
+            options: Options::default(),
             threads: 0,
             strict_witness: false,
-            session_gc_ratio: Some(crate::checker::DEFAULT_SESSION_GC_RATIO),
+            session_gc_ratio: Some(DEFAULT_SESSION_GC_RATIO),
             session_gc_floor: DEFAULT_SESSION_GC_FLOOR,
             blast_cache: true,
             sat_lbd: true,
-            sat_portfolio: 0,
-            sat_portfolio_min_clauses: DEFAULT_PORTFOLIO_MIN_CLAUSES,
             warm_capacity: 0,
             state_dir: None,
         }
@@ -183,67 +176,57 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// The environment-compat constructor: reads every `LEAPFROG_*`
-    /// tuning variable into its config field (see the type-level table).
+    /// The environment constructor: reads every `LEAPFROG_*` tuning
+    /// variable into its config field (see the type-level table). The
+    /// query shape keeps its defaults.
     pub fn from_env() -> EngineConfig {
-        EngineConfig {
-            threads: threads_from_env(),
-            strict_witness: strict_witness_from_env(),
-            session_gc_ratio: session_gc_from_env(),
-            session_gc_floor: session_gc_floor_from_env(),
-            blast_cache: std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1"),
-            sat_lbd: std::env::var("LEAPFROG_SAT_LBD").as_deref() != Ok("0"),
-            sat_portfolio: std::env::var("LEAPFROG_SAT_PORTFOLIO")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            sat_portfolio_min_clauses: portfolio_min_clauses_from_env(),
-            warm_capacity: warm_capacity_from_env(),
-            ..EngineConfig::default()
+        fn var(name: &str) -> Option<String> {
+            std::env::var(name).ok()
         }
-    }
-
-    /// Lifts per-query [`Options`] into an engine configuration (the
-    /// compat direction used by the [`Checker`](crate::Checker) wrapper).
-    pub fn from_options(o: &Options) -> EngineConfig {
-        EngineConfig {
-            leaps: o.leaps,
-            reach_pruning: o.reach_pruning,
-            early_stop: o.early_stop,
-            max_iterations: o.max_iterations,
-            threads: o.threads,
-            strict_witness: o.strict_witness,
-            session_gc_ratio: o.session_gc_ratio,
-            session_gc_floor: o.session_gc_floor,
-            blast_cache: o.blast_cache,
-            sat_lbd: o.sat_lbd,
-            sat_portfolio: o.sat_portfolio,
-            sat_portfolio_min_clauses: o.sat_portfolio_min_clauses,
-            ..EngineConfig::default()
+        fn parsed<T: std::str::FromStr>(name: &str) -> Option<T> {
+            var(name)?.parse().ok()
         }
-    }
-
-    /// Projects this configuration onto per-query [`Options`].
-    pub fn options(&self) -> Options {
-        Options {
-            leaps: self.leaps,
-            reach_pruning: self.reach_pruning,
-            early_stop: self.early_stop,
-            max_iterations: self.max_iterations,
-            threads: self.threads,
-            strict_witness: self.strict_witness,
-            session_gc_ratio: self.session_gc_ratio,
-            session_gc_floor: self.session_gc_floor,
-            blast_cache: self.blast_cache,
-            sat_lbd: self.sat_lbd,
-            sat_portfolio: self.sat_portfolio,
-            sat_portfolio_min_clauses: self.sat_portfolio_min_clauses,
+        EngineConfig {
+            threads: parsed("LEAPFROG_THREADS").unwrap_or(0),
+            strict_witness: matches!(
+                var("LEAPFROG_STRICT_WITNESS").as_deref(),
+                Some("1") | Some("true")
+            ),
+            session_gc_ratio: match var("LEAPFROG_SESSION_GC") {
+                Some(s) if s.trim().eq_ignore_ascii_case("off") => None,
+                Some(s) => match s.trim().parse::<f64>() {
+                    // Any spelling of a non-positive ratio ("0", "0.0",
+                    // "0e0") disables the GC, matching the documented
+                    // contract.
+                    Ok(r) if r.is_finite() && r > 0.0 => Some(r),
+                    Ok(_) => None,
+                    Err(_) => Some(DEFAULT_SESSION_GC_RATIO),
+                },
+                None => Some(DEFAULT_SESSION_GC_RATIO),
+            },
+            session_gc_floor: parsed("LEAPFROG_SESSION_GC_FLOOR")
+                .unwrap_or(DEFAULT_SESSION_GC_FLOOR),
+            blast_cache: var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Some("1"),
+            sat_lbd: var("LEAPFROG_SAT_LBD").as_deref() != Some("0"),
+            warm_capacity: parsed("LEAPFROG_WARM_CAP").unwrap_or(0),
+            ..EngineConfig::default()
         }
     }
 
     /// The worker-thread count this configuration resolves to.
     pub fn effective_threads(&self) -> usize {
-        self.options().effective_threads()
+        if self.threads != 0 {
+            self.threads
+        } else {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }
+    }
+
+    /// The CDCL configuration of every solve the engine runs.
+    fn solver_config(&self) -> SolverConfig {
+        SolverConfig { lbd: self.sat_lbd }
     }
 
     /// Sets the worker-thread count (builder style).
@@ -254,25 +237,25 @@ impl EngineConfig {
 
     /// Enables or disables leaps (builder style).
     pub fn leaps(mut self, on: bool) -> Self {
-        self.leaps = on;
+        self.options.leaps = on;
         self
     }
 
     /// Enables or disables reachability pruning (builder style).
     pub fn reach_pruning(mut self, on: bool) -> Self {
-        self.reach_pruning = on;
+        self.options.reach_pruning = on;
         self
     }
 
     /// Enables or disables early stopping (builder style).
     pub fn early_stop(mut self, on: bool) -> Self {
-        self.early_stop = on;
+        self.options.early_stop = on;
         self
     }
 
     /// Sets the iteration budget (builder style).
     pub fn max_iterations(mut self, limit: Option<u64>) -> Self {
-        self.max_iterations = limit;
+        self.options.max_iterations = limit;
         self
     }
 
@@ -307,20 +290,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the SAT portfolio lane count (builder style; `0`/`1` = no
-    /// racing).
-    pub fn sat_portfolio(mut self, lanes: usize) -> Self {
-        self.sat_portfolio = lanes;
-        self
-    }
-
-    /// Sets the SAT portfolio racing floor (builder style): sessions with
-    /// fewer live clauses than this solve on the canonical lane alone.
-    pub fn sat_portfolio_min_clauses(mut self, clauses: usize) -> Self {
-        self.sat_portfolio_min_clauses = clauses;
-        self
-    }
-
     /// Sets the LRU capacity bound on the warm-state maps (builder style;
     /// `0` = unbounded).
     pub fn warm_capacity(mut self, cap: usize) -> Self {
@@ -340,60 +309,6 @@ impl EngineConfig {
     pub fn build(self) -> Engine {
         Engine::new(self)
     }
-}
-
-pub(crate) fn threads_from_env() -> usize {
-    std::env::var("LEAPFROG_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-pub(crate) fn strict_witness_from_env() -> bool {
-    matches!(
-        std::env::var("LEAPFROG_STRICT_WITNESS").as_deref(),
-        Ok("1") | Ok("true")
-    )
-}
-
-pub(crate) fn session_gc_from_env() -> Option<f64> {
-    match std::env::var("LEAPFROG_SESSION_GC") {
-        Ok(s) => {
-            let t = s.trim();
-            if t.eq_ignore_ascii_case("off") {
-                return None;
-            }
-            match t.parse::<f64>() {
-                // Any spelling of a non-positive ratio ("0", "0.0", "0e0")
-                // disables the GC, matching the documented contract.
-                Ok(r) if r.is_finite() && r > 0.0 => Some(r),
-                Ok(_) => None,
-                Err(_) => Some(crate::checker::DEFAULT_SESSION_GC_RATIO),
-            }
-        }
-        Err(_) => Some(crate::checker::DEFAULT_SESSION_GC_RATIO),
-    }
-}
-
-pub(crate) fn session_gc_floor_from_env() -> u64 {
-    std::env::var("LEAPFROG_SESSION_GC_FLOOR")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SESSION_GC_FLOOR)
-}
-
-pub(crate) fn warm_capacity_from_env() -> usize {
-    std::env::var("LEAPFROG_WARM_CAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-pub(crate) fn portfolio_min_clauses_from_env() -> usize {
-    std::env::var("LEAPFROG_SAT_PORTFOLIO_MIN_CLAUSES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_PORTFOLIO_MIN_CLAUSES)
 }
 
 /// A handle to an automaton pair interned by [`Engine::prepare_pair`]:
@@ -455,7 +370,7 @@ pub struct QueryRequest {
     pub extra_init: Vec<ConfRel>,
     /// The query `φ` at the root guard.
     pub query: ConfRel,
-    /// Per-query options (semantic knobs + scheduling).
+    /// The query's shape; every other knob is the engine's.
     pub options: Options,
 }
 
@@ -589,10 +504,7 @@ struct WarmKey {
     standard_init: bool,
     extra_init: Vec<ConfRel>,
     query: ConfRel,
-    leaps: bool,
-    reach_pruning: bool,
-    early_stop: bool,
-    max_iterations: Option<u64>,
+    options: Options,
 }
 
 impl WarmKey {
@@ -601,10 +513,7 @@ impl WarmKey {
             standard_init: req.standard_init,
             extra_init: req.extra_init.clone(),
             query: req.query.clone(),
-            leaps: req.options.leaps,
-            reach_pruning: req.options.reach_pruning,
-            early_stop: req.options.early_stop,
-            max_iterations: req.options.max_iterations,
+            options: req.options,
         }
     }
 }
@@ -665,12 +574,12 @@ fn warm_entry_to_value(key: &WarmKey, memo: &HashMap<MemoKey, bool>) -> Value {
             Value::Arr(key.extra_init.iter().map(json::confrel_to_value).collect()),
         ),
         ("query", json::confrel_to_value(&key.query)),
-        ("leaps", Value::Bool(key.leaps)),
-        ("reach_pruning", Value::Bool(key.reach_pruning)),
-        ("early_stop", Value::Bool(key.early_stop)),
+        ("leaps", Value::Bool(key.options.leaps)),
+        ("reach_pruning", Value::Bool(key.options.reach_pruning)),
+        ("early_stop", Value::Bool(key.options.early_stop)),
         (
             "max_iterations",
-            match key.max_iterations {
+            match key.options.max_iterations {
                 Some(n) => json::num(n as usize),
                 None => Value::Null,
             },
@@ -716,12 +625,14 @@ fn memos_from_json(text: &str) -> Result<SavedWarmMap, String> {
                     .map_err(err)?,
                 query: json::confrel_from_value(json::get(warm, "query").map_err(err)?)
                     .map_err(err)?,
-                leaps: json::as_bool(json::get(warm, "leaps").map_err(err)?).map_err(err)?,
-                reach_pruning: json::as_bool(json::get(warm, "reach_pruning").map_err(err)?)
-                    .map_err(err)?,
-                early_stop: json::as_bool(json::get(warm, "early_stop").map_err(err)?)
-                    .map_err(err)?,
-                max_iterations,
+                options: Options {
+                    leaps: json::as_bool(json::get(warm, "leaps").map_err(err)?).map_err(err)?,
+                    reach_pruning: json::as_bool(json::get(warm, "reach_pruning").map_err(err)?)
+                        .map_err(err)?,
+                    early_stop: json::as_bool(json::get(warm, "early_stop").map_err(err)?)
+                        .map_err(err)?,
+                    max_iterations,
+                },
             };
             let mut memo = HashMap::new();
             for entry in json::as_arr(json::get(warm, "memo").map_err(err)?).map_err(err)? {
@@ -830,23 +741,6 @@ mod meters {
         LazyCounter::new("leapfrog_sat_lbd_8_plus_total"),
     ];
     pub static QUERY_SECONDS: LazyHistogram = LazyHistogram::new("leapfrog_query_seconds");
-    pub static SAT_PORTFOLIO_RACES: LazyCounter =
-        LazyCounter::new("leapfrog_sat_portfolio_races_total");
-    pub static SAT_PORTFOLIO_SOLO: LazyCounter =
-        LazyCounter::new("leapfrog_sat_portfolio_solo_total");
-    /// Portfolio race wins as one counter per lane (the registry has no
-    /// label support, so the lane index is baked into the metric name,
-    /// mirroring the LBD bucket counters above).
-    pub static SAT_PORTFOLIO_WINS: [LazyCounter; super::MAX_PORTFOLIO_LANES] = [
-        LazyCounter::new("leapfrog_sat_portfolio_wins_0_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_1_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_2_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_3_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_4_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_5_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_6_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_7_total"),
-    ];
 }
 
 /// Per-query trace context: opened before any per-query work (so the
@@ -1276,7 +1170,7 @@ impl Engine {
     /// The reachable template pairs of a prepared pair under the engine's
     /// leap setting, memoized for the engine's lifetime.
     pub fn reachable(&mut self, pid: PairId) -> Arc<Vec<TemplatePair>> {
-        self.scope_for(pid, self.config.leaps, true).0.pairs
+        self.scope_for(pid, self.config.options.leaps, true).0.pairs
     }
 
     /// The standard language-equivalence request for a prepared pair under
@@ -1286,7 +1180,7 @@ impl Engine {
             standard_init: true,
             extra_init: Vec::new(),
             query: ConfRel::trivial(self.root(pid)),
-            options: self.config.options(),
+            options: self.config.options,
         }
     }
 
@@ -1338,7 +1232,7 @@ impl Engine {
         let key = WarmKey::of(req);
         self.tick += 1;
         let tick = self.tick;
-        let mut solver = SmtSolver::with_shared_cache(self.cache.clone());
+        let threads = self.config.effective_threads();
         let pair = self.pair_mut(pid);
         pair.last_used = tick;
         let mut warm = pair.warm.remove(&key).unwrap_or_default();
@@ -1358,9 +1252,10 @@ impl Engine {
             &scope,
             req,
             &mut warm,
+            &self.config,
+            threads,
             &self.cache,
             &self.ledger,
-            &mut solver,
             &mut stats,
         );
         warm.last_used = tick;
@@ -1388,12 +1283,6 @@ impl Engine {
         meters::SAT_LEARNT_DELETED.add(sat.deleted_clauses);
         for (bucket, n) in meters::SAT_LBD_BUCKETS.iter().zip(sat.lbd_histogram) {
             bucket.add(n);
-        }
-        let portfolio = &stats.queries.portfolio;
-        meters::SAT_PORTFOLIO_RACES.add(portfolio.races);
-        meters::SAT_PORTFOLIO_SOLO.add(portfolio.solo);
-        for (lane, n) in meters::SAT_PORTFOLIO_WINS.iter().zip(portfolio.wins) {
-            lane.add(n);
         }
     }
 
@@ -1546,15 +1435,12 @@ impl Engine {
                 indices: Vec<usize>,
                 results: Vec<(usize, Outcome, RunStats)>,
             }
-            let mut inner_opts = self.config.options();
-            inner_opts.threads = 1;
+            let opts = self.config.options;
             let mut tasks: Vec<GroupTask> = groups
                 .into_iter()
                 .map(|(pid, indices)| {
-                    let (scope, reach_hit) =
-                        self.scope_for(pid, inner_opts.leaps, inner_opts.reach_pruning);
-                    let mut req = self.standard_request(pid);
-                    req.options = inner_opts;
+                    let (scope, reach_hit) = self.scope_for(pid, opts.leaps, opts.reach_pruning);
+                    let req = self.standard_request(pid);
                     let key = WarmKey::of(&req);
                     let pair = self.pair_mut(pid);
                     let prior_runs = pair.runs;
@@ -1572,6 +1458,7 @@ impl Engine {
                     }
                 })
                 .collect();
+            let config = &self.config;
             let cache = &self.cache;
             let ledger = &self.ledger;
             let cursor = std::sync::atomic::AtomicUsize::new(0);
@@ -1592,16 +1479,16 @@ impl Engine {
                             continue;
                         };
                         for &qi in &task.indices {
-                            let mut solver = SmtSolver::with_shared_cache(cache.clone());
                             let mut stats = RunStats::default();
                             let outcome = run_worklist(
                                 &task.aut,
                                 &task.scope,
                                 &task.req,
                                 &mut task.warm,
+                                config,
+                                1,
                                 cache,
                                 ledger,
-                                &mut solver,
                                 &mut stats,
                             );
                             task.results.push((qi, outcome, stats));
@@ -1688,42 +1575,35 @@ fn pool_stats(main: &SessionPool, workers: &[SessionPool]) -> QueryStats {
 /// * session pools persist across runs, so premise clauses, learnt CDCL
 ///   state and CEGAR instantiations carry over whenever a check misses
 ///   the memo.
+///
+/// The query's shape comes from `req`; every engine knob comes from
+/// `config`, except the worker count, which the caller resolves
+/// (`check_batch` runs each member on one thread).
 #[allow(clippy::too_many_arguments)]
 fn run_worklist(
     aut: &Automaton,
     scope: &Scope,
     req: &QueryRequest,
     warm: &mut WarmState,
+    config: &EngineConfig,
+    threads: usize,
     cache: &SharedBlastCache,
     ledger: &InstLedger,
-    solver: &mut SmtSolver,
     stats: &mut RunStats,
 ) -> Outcome {
     let start = Instant::now();
     let opts = &req.options;
-    let threads = opts.effective_threads();
+    let mut solver = SmtSolver::with_shared_cache(cache.clone(), config.solver_config());
     stats.scope_pairs = scope.pairs.len();
     stats.threads = threads;
     stats.sessions_reused = warm.session_count() as u64;
     warm.runs += 1;
 
     let session_cfg = SessionConfig {
-        gc_ratio: opts.session_gc_ratio,
-        gc_floor: opts.session_gc_floor,
+        gc_ratio: config.session_gc_ratio,
+        gc_floor: config.session_gc_floor,
         ledger: Some(ledger.clone()),
-        sat: {
-            let base = SolverConfig {
-                lbd: opts.sat_lbd,
-                ..SolverConfig::default()
-            };
-            let mut sat = if opts.sat_portfolio >= 2 {
-                PortfolioConfig::race(base, opts.sat_portfolio)
-            } else {
-                PortfolioConfig::single(base)
-            };
-            sat.min_clauses = opts.sat_portfolio_min_clauses;
-            sat
-        },
+        sat: config.solver_config(),
     };
     warm.ensure_pools(threads, &session_cfg);
     let mut main_pool = warm.main_pool.take().expect("ensured above");
@@ -1791,7 +1671,7 @@ fn run_worklist(
             aut,
             &req.query,
             req.standard_init,
-            opts,
+            config.strict_witness,
             rho,
             id,
             prov,
@@ -1885,7 +1765,7 @@ fn run_worklist(
             // Early failure: ψ will be part of R, and the Close step
             // requires φ ⊨ ψ.
             if opts.early_stop && psi.guard == req.query.guard {
-                if let Some(refutation) = violation(&psi, id, &prov, solver, stats) {
+                if let Some(refutation) = violation(&psi, id, &prov, &mut solver, stats) {
                     let len = relation.len();
                     seal!(len);
                     return Outcome::NotEquivalent(refutation);
@@ -1918,7 +1798,7 @@ fn run_worklist(
             continue;
         }
         let id = seen[rho];
-        if let Some(refutation) = violation(rho, id, &prov, solver, stats) {
+        if let Some(refutation) = violation(rho, id, &prov, &mut solver, stats) {
             let len = relation.len();
             seal!(len);
             return Outcome::NotEquivalent(refutation);
@@ -1977,15 +1857,15 @@ fn memo_covers_generation(
 ///
 /// # Panics
 ///
-/// Panics when [`Options::strict_witness`] is set, the query is a
-/// standard language-equivalence query, and the countermodel could not
-/// be lifted into a confirmed witness.
+/// Panics when `strict_witness` ([`EngineConfig::strict_witness`]) is
+/// set, the query is a standard language-equivalence query, and the
+/// countermodel could not be lifted into a confirmed witness.
 #[allow(clippy::too_many_arguments)]
 fn query_violation(
     aut: &Automaton,
     query: &ConfRel,
     standard_init: bool,
-    opts: &Options,
+    strict_witness: bool,
     rho: &ConfRel,
     id: usize,
     prov: &[(Arc<ConfRel>, Option<usize>)],
@@ -2018,7 +1898,7 @@ fn query_violation(
                 Refutation::Unconfirmed { .. } => stats.witnesses_unconfirmed += 1,
             }
             if let Some(error) =
-                strict_witness_violation(opts.strict_witness, standard_init, &refutation)
+                strict_witness_violation(strict_witness, standard_init, &refutation)
             {
                 panic!("{error}");
             }

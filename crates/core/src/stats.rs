@@ -138,21 +138,6 @@ impl RunStats {
 
     /// A one-line human-readable summary.
     pub fn summary(&self) -> String {
-        let portfolio = if self.queries.portfolio.lanes >= 2 {
-            // Defensive clamp: `lanes` may come from a decoded stats frame,
-            // and formatting must not panic on an out-of-range value.
-            let lanes =
-                (self.queries.portfolio.lanes as usize).min(self.queries.portfolio.wins.len());
-            format!(
-                " portfolio(lanes={} races={} solo={} wins={:?})",
-                self.queries.portfolio.lanes,
-                self.queries.portfolio.races,
-                self.queries.portfolio.solo,
-                &self.queries.portfolio.wins[..lanes],
-            )
-        } else {
-            String::new()
-        };
         let witnesses = if self.witnesses_confirmed + self.witnesses_unconfirmed > 0 {
             format!(
                 " witnesses={}/{} minimized_bits={}",
@@ -167,7 +152,7 @@ impl RunStats {
             "iterations={} extended={} skipped={} wp={} wp_calls={} scope={} queries={} \
              threads={} index_hit={:.0}% blast_cache={:.0}% cegar_rounds={} \
              oracle_skip={:.0}% rebuilds={} peak_clauses={} warm(sessions={} \
-             memo={} sum={} reach={} ledger={}) time={:.2?}{}{}",
+             memo={} sum={} reach={} ledger={}) time={:.2?}{}",
             self.iterations,
             self.extended,
             self.skipped,
@@ -188,7 +173,6 @@ impl RunStats {
             self.reach_cache_hits,
             self.queries.inst_ledger_hits,
             self.wall_time,
-            portfolio,
             witnesses,
         )
     }

@@ -30,8 +30,8 @@
 //!   transparently rebuilds a fresh [`BlastContext`] from its persisted
 //!   permanent-formula list — premise seeds *and* every CEGAR
 //!   instantiation discovered so far — so no refinement work is lost.
-//!   `Options::session_gc_ratio` / `LEAPFROG_SESSION_GC` configure the
-//!   ratio (`0` disables GC).
+//!   `EngineConfig::session_gc_ratio` / `LEAPFROG_SESSION_GC` configure
+//!   the ratio (`0` disables GC).
 //!
 //! Verdicts are exact booleans (the CEGAR loop validates any candidate
 //! model against the *true* `∀`-premises), so sessions are freely mixed
@@ -45,8 +45,8 @@ use std::time::Instant;
 use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::ast::Automaton;
 use leapfrog_smt::{
-    instantiate_forall, BBit, BlastContext, BvVar, Declarations, Formula, InstLedger,
-    PortfolioConfig, PortfolioStats, QueryStats, RefinementOracle, SharedBlastCache, SolverStats,
+    instantiate_forall, BBit, BlastContext, BvVar, Declarations, Formula, InstLedger, QueryStats,
+    RefinementOracle, SharedBlastCache, SolverConfig, SolverStats,
 };
 
 use crate::confrel::ConfRel;
@@ -87,24 +87,20 @@ pub struct SessionConfig {
     /// keyed by canonical block identity and support valuation, shared by
     /// every session of an engine (across guards, pools and threads).
     pub ledger: Option<InstLedger>,
-    /// CDCL portfolio (lane configurations and racing thresholds) for
-    /// every context this session (or pool) creates — including GC-rebuild
-    /// replacements. A single-lane portfolio is a plain solver; engines
-    /// read the `LEAPFROG_SAT_*` environment once and pass the result
-    /// here.
-    pub sat: PortfolioConfig,
+    /// CDCL configuration for every context this session (or pool)
+    /// creates — including GC-rebuild replacements — and for its oracle's
+    /// validation solves.
+    pub sat: SolverConfig,
 }
 
 impl Default for SessionConfig {
-    /// GC and ledger off; solver knobs from the `LEAPFROG_SAT_*`
-    /// environment (standalone sessions mirror what a fresh
-    /// [`BlastContext::new`] would do).
+    /// GC and ledger off, default solver configuration.
     fn default() -> SessionConfig {
         SessionConfig {
             gc_ratio: None,
             gc_floor: 0,
             ledger: None,
-            sat: PortfolioConfig::from_env(),
+            sat: SolverConfig::default(),
         }
     }
 }
@@ -145,9 +141,6 @@ pub struct GuardSession {
     /// validation solves. `stats.sat` is always `sat_retired` + the live
     /// context's counters, so totals survive rebuilds.
     sat_retired: SolverStats,
-    /// Portfolio racing counters of retired contexts and oracle solves —
-    /// the racing-side mirror of `sat_retired`.
-    portfolio_retired: PortfolioStats,
 }
 
 impl GuardSession {
@@ -182,9 +175,9 @@ impl GuardSession {
                 guard_left: guard.left.buf_len,
                 guard_right: guard.right.buf_len,
             },
-            ctx: BlastContext::with_portfolio(cfg.sat.clone()),
+            ctx: BlastContext::new(cfg.sat),
             premise_count: 0,
-            oracle: RefinementOracle::with_portfolio(cfg.sat.clone()),
+            oracle: RefinementOracle::new(cfg.sat),
             permanent: Vec::new(),
             live_clauses: 0,
             cfg,
@@ -192,7 +185,6 @@ impl GuardSession {
             checks: 0,
             stats: QueryStats::default(),
             sat_retired: SolverStats::default(),
-            portfolio_retired: PortfolioStats::default(),
         }
     }
 
@@ -229,8 +221,7 @@ impl GuardSession {
             return;
         }
         self.sat_retired.absorb(&self.ctx.solver().stats());
-        self.portfolio_retired.absorb(&self.ctx.portfolio_stats());
-        self.ctx = BlastContext::with_portfolio(self.cfg.sat.clone());
+        self.ctx = BlastContext::new(self.cfg.sat);
         self.live_clauses = 0;
         self.stats.session_rebuilds += 1;
         meters::SESSION_REBUILDS.inc();
@@ -364,7 +355,6 @@ impl GuardSession {
                     self.stats.blocks_validated += round.validated;
                     self.stats.inst_ledger_hits += round.ledger_hits;
                     self.sat_retired.absorb(&round.sat);
-                    self.portfolio_retired.absorb(&round.portfolio);
                     match round.refinement {
                         None => break false,
                         Some(batch) => {
@@ -396,9 +386,6 @@ impl GuardSession {
         let mut sat = self.sat_retired;
         sat.absorb(&self.ctx.solver().stats());
         self.stats.sat = sat;
-        let mut portfolio = self.portfolio_retired.clone();
-        portfolio.absorb(&self.ctx.portfolio_stats());
-        self.stats.portfolio = portfolio;
     }
 
     /// Asserts `f` permanently: it joins the persisted list replayed by GC

@@ -6,63 +6,31 @@
 //! captured engine workload can be replayed straight through the solver:
 //!
 //! ```text
-//! sat_micro [--lbd=0|1] [--portfolio[=N]] [--repeat N] <file> [<file>…]
+//! sat_micro [--lbd=0|1] [--repeat N] <file> [<file>…]
 //! ```
 //!
-//! `--lbd` overrides `LEAPFROG_SAT_LBD` for A/B runs on identical input;
-//! `--portfolio` races each instance through N derived solver lanes
-//! (default 4) and reports which lane answered first, plus the win
-//! histogram over the whole input set — the core-in-isolation view of the
-//! engine's portfolio mode; `--repeat` re-solves each instance on a fresh
-//! solver N times and reports the minimum wall time (scheduler-noise
-//! floor).
+//! `--lbd=0` turns LBD-tiered clause management off for A/B runs on
+//! identical input; `--repeat` re-solves each instance on a fresh solver N
+//! times and reports the minimum wall time (scheduler-noise floor).
 
 use std::time::Instant;
 
 use leapfrog_sat::dimacs::{parse_auto, Cnf};
-use leapfrog_sat::{
-    Lit, Portfolio, PortfolioConfig, SolveResult, Solver, SolverConfig, MAX_PORTFOLIO_LANES,
-};
+use leapfrog_sat::{SolveResult, Solver, SolverConfig};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: sat_micro [--lbd=0|1] [--portfolio[=N]] [--repeat N] \
-         <file.cnf|blast_cache.txt>..."
-    );
+    eprintln!("usage: sat_micro [--lbd=0|1] [--repeat N] <file.cnf|blast_cache.txt>...");
     std::process::exit(2);
 }
 
-/// Mirrors [`Cnf::load_into`] onto a portfolio (every lane gets the same
-/// variables and clauses).
-fn load_into_portfolio(cnf: &Cnf, p: &mut Portfolio) -> bool {
-    let vars: Vec<_> = (0..cnf.num_vars).map(|_| p.new_var()).collect();
-    let mut ok = true;
-    for clause in &cnf.clauses {
-        let mapped: Vec<Lit> = clause
-            .iter()
-            .map(|l| Lit::with_polarity(vars[l.var().0 as usize], !l.is_neg()))
-            .collect();
-        ok &= p.add_clause(&mapped);
-    }
-    ok
-}
-
 fn main() {
-    let mut cfg = SolverConfig::from_env();
+    let mut cfg = SolverConfig::default();
     let mut repeat = 1usize;
-    let mut portfolio_lanes = 0usize;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if let Some(v) = arg.strip_prefix("--lbd=") {
             cfg.lbd = v != "0";
-        } else if arg == "--portfolio" {
-            portfolio_lanes = 4;
-        } else if let Some(v) = arg.strip_prefix("--portfolio=") {
-            portfolio_lanes = v.parse().unwrap_or_else(|_| usage());
-            if !(2..=MAX_PORTFOLIO_LANES).contains(&portfolio_lanes) {
-                usage();
-            }
         } else if arg == "--repeat" {
             repeat = args
                 .next()
@@ -97,11 +65,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-
-    if portfolio_lanes >= 2 {
-        run_portfolio(&instances, cfg, portfolio_lanes, repeat);
-        return;
     }
 
     println!(
@@ -145,64 +108,4 @@ fn main() {
         );
     }
     println!("total (min-of-{repeat}): {:.3}ms", total_best * 1e3);
-}
-
-/// The racing mode: each instance solved through a fresh N-lane portfolio
-/// (racing floor forced to zero so every instance actually races), with
-/// the winning lane reported per instance and summed into a histogram.
-fn run_portfolio(instances: &[Cnf], base: SolverConfig, lanes: usize, repeat: usize) {
-    let mut race_cfg = PortfolioConfig::race(base, lanes);
-    race_cfg.min_clauses = 0;
-    println!(
-        "sat_micro: {} instance(s), portfolio lanes={lanes}, base lbd={}, repeat={repeat}",
-        instances.len(),
-        base.lbd,
-    );
-    let mut histogram = [0u64; MAX_PORTFOLIO_LANES];
-    let mut total_best = 0.0f64;
-    for cnf in instances {
-        let mut best: Option<(f64, SolveResult, usize)> = None;
-        for _ in 0..repeat {
-            let mut p = Portfolio::with_config(race_cfg.clone());
-            let t0 = Instant::now();
-            let root_ok = load_into_portfolio(cnf, &mut p);
-            let verdict = if root_ok {
-                p.solve(&[])
-            } else {
-                SolveResult::Unsat
-            };
-            let dt = t0.elapsed().as_secs_f64();
-            let winner = p
-                .portfolio_stats()
-                .wins
-                .iter()
-                .position(|&w| w > 0)
-                .unwrap_or(0);
-            if best.is_none() || dt < best.unwrap().0 {
-                best = Some((dt, verdict, winner));
-            }
-        }
-        let (dt, verdict, winner) = best.unwrap();
-        histogram[winner] += 1;
-        total_best += dt;
-        println!(
-            "{:<40} {:>5} {:>10.3}ms  vars={} clauses={} winner=lane{}",
-            cnf.name,
-            match verdict {
-                SolveResult::Sat => "SAT",
-                SolveResult::Unsat => "UNSAT",
-            },
-            dt * 1e3,
-            cnf.num_vars,
-            cnf.clauses.len(),
-            winner,
-        );
-    }
-    let non_canonical: u64 = histogram[1..].iter().sum();
-    println!(
-        "total (min-of-{repeat}): {:.3}ms  win_histogram={:?}  non_canonical_wins={}",
-        total_best * 1e3,
-        &histogram[..lanes],
-        non_canonical,
-    );
 }

@@ -32,9 +32,8 @@
 //! levels among its literals — is recorded. Clauses with LBD ≤ 2 form the
 //! "core" tier and are never deleted (alongside clauses currently locked
 //! as propagation reasons and all binary clauses); the remainder are
-//! reduced by LBD first, activity second. The `LEAPFROG_SAT_LBD=0`
-//! environment knob (or [`SolverConfig::lbd`] programmatically) falls back
-//! to activity-only deletion for ablation runs.
+//! reduced by LBD first, activity second. [`SolverConfig::lbd`] set to
+//! `false` falls back to activity-only deletion for ablation runs.
 //!
 //! The solver is incremental: clauses may be added between [`Solver::solve`]
 //! calls, and each call may pass *assumptions* (literals forced true for
@@ -56,14 +55,8 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod dimacs;
-mod portfolio;
-
-pub use portfolio::{
-    Portfolio, PortfolioConfig, PortfolioStats, DEFAULT_PORTFOLIO_MIN_CLAUSES, MAX_PORTFOLIO_LANES,
-};
 
 /// A propositional variable, identified by a dense index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -241,78 +234,19 @@ impl SolverStats {
     }
 }
 
-/// Solver construction knobs. The typed equivalent of the `LEAPFROG_SAT_*`
-/// environment variables, mirroring the cache/GC knob pattern elsewhere in
-/// the workspace: `from_env` for ambient configuration, struct fields for
-/// programmatic control.
-///
-/// The search-diversity knobs (`seed`, `invert_phase`, `restart_offset`)
-/// exist for portfolio lanes: they perturb *which* satisfying assignment or
-/// refutation the search finds first, never *whether* one exists. A config
-/// with all three at their defaults is the *canonical* configuration — the
-/// one whose search trajectory single-solver mode reproduces exactly.
+/// Solver construction knobs. Read from no environment variable: the
+/// engine's `EngineConfig` carries the one setting down to every solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
     /// Glucose-style two-tier LBD learnt-clause management (default on).
     /// Off falls back to activity-only deletion — the ablation baseline.
     pub lbd: bool,
-    /// Branching-diversity seed: nonzero seeds give fresh variables a tiny
-    /// deterministic initial VSIDS activity (splitmix64 of `seed` and the
-    /// variable index), so ties in the activity order break differently per
-    /// lane. `0` (default) keeps the canonical all-zero initialization.
-    pub seed: u64,
-    /// Start phase saving at `true` instead of `false` for fresh variables,
-    /// sending the lane to the opposite corner of the assignment space.
-    pub invert_phase: bool,
-    /// Shifts the Luby restart schedule by this many virtual restarts, so
-    /// lanes restart at different conflict counts. `0` is canonical.
-    pub restart_offset: u64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        SolverConfig {
-            lbd: true,
-            seed: 0,
-            invert_phase: false,
-            restart_offset: 0,
-        }
+        SolverConfig { lbd: true }
     }
-}
-
-impl SolverConfig {
-    /// Reads the configuration from the environment:
-    /// `LEAPFROG_SAT_LBD=0` disables LBD-tiered clause management. The
-    /// diversity knobs stay at their canonical defaults — they are derived
-    /// per portfolio lane (see [`PortfolioConfig::race`]), not ambient.
-    pub fn from_env() -> Self {
-        let lbd = std::env::var("LEAPFROG_SAT_LBD")
-            .map(|v| v != "0")
-            .unwrap_or(true);
-        SolverConfig {
-            lbd,
-            ..SolverConfig::default()
-        }
-    }
-
-    /// Whether this is the canonical search trajectory (no diversity
-    /// perturbation) for its LBD setting.
-    pub fn is_canonical(&self) -> bool {
-        self.seed == 0 && !self.invert_phase && self.restart_offset == 0
-    }
-}
-
-/// Deterministic per-variable activity jitter for nonzero seeds
-/// (splitmix64 finalizer), scaled far below one conflict's activity bump so
-/// it only breaks ties among otherwise-equal variables.
-fn activity_jitter(seed: u64, var_index: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(var_index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64 * 1e-6
 }
 
 /// A conflict-driven clause-learning SAT solver.
@@ -365,14 +299,12 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver configured from the environment
-    /// (see [`SolverConfig::from_env`]).
+    /// Creates an empty solver with the default configuration.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::from_env())
+        Self::with_config(SolverConfig::default())
     }
 
-    /// Creates an empty solver with an explicit configuration, ignoring
-    /// the environment.
+    /// Creates an empty solver with an explicit configuration.
     pub fn with_config(cfg: SolverConfig) -> Self {
         Solver {
             cfg,
@@ -417,12 +349,8 @@ impl Solver {
         self.assigns.push(Assign::Unassigned);
         self.levels.push(0);
         self.reasons.push(REASON_NONE);
-        self.activity.push(if self.cfg.seed == 0 {
-            0.0
-        } else {
-            activity_jitter(self.cfg.seed, v.0 as u64)
-        });
-        self.saved_phase.push(self.cfg.invert_phase);
+        self.activity.push(0.0);
+        self.saved_phase.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
@@ -456,13 +384,6 @@ impl Solver {
     /// Solver statistics across all calls so far.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Whether the clause set is already known unsatisfiable at the root
-    /// level — every future [`Solver::solve`] answers `Unsat` in O(1). The
-    /// portfolio harness uses this to skip spawning race threads.
-    pub fn root_conflict(&self) -> bool {
-        self.unsat_at_root
     }
 
     /// Lowers the learnt-DB reduction threshold so tests can exercise
@@ -574,45 +495,24 @@ impl Solver {
     /// Solves under the given assumptions. Assumptions are literals that
     /// must hold for this call only.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        static NEVER: AtomicBool = AtomicBool::new(false);
-        self.solve_interruptible(assumptions, &NEVER)
-            .expect("solve interrupted without a stop flag")
-    }
-
-    /// [`Solver::solve`] with a cooperative stop flag, the primitive the
-    /// portfolio racing harness runs its *helper* lanes on (the canonical
-    /// lane 0 always searches to completion and is never handed a stop
-    /// flag): the flag is checked once per conflict and once per decision,
-    /// and a raised flag makes the call return `None` with the solver
-    /// backtracked to the root — fully reusable (learnt clauses and
-    /// heuristic state are kept), but with no verdict for this call.
-    pub fn solve_interruptible(
-        &mut self,
-        assumptions: &[Lit],
-        stop: &AtomicBool,
-    ) -> Option<SolveResult> {
         self.backtrack(0);
         if self.unsat_at_root {
-            return Some(SolveResult::Unsat);
+            return SolveResult::Unsat;
         }
         if self.propagate().is_some() {
             self.unsat_at_root = true;
-            return Some(SolveResult::Unsat);
+            return SolveResult::Unsat;
         }
 
-        let mut conflicts_until_restart = luby(self.stats.restarts + self.cfg.restart_offset) * 100;
+        let mut conflicts_until_restart = luby(self.stats.restarts) * 100;
 
         loop {
-            if stop.load(Ordering::Relaxed) {
-                self.backtrack(0);
-                return None;
-            }
             match self.propagate() {
                 Some(confl) => {
                     self.stats.conflicts += 1;
                     if self.decision_level() == 0 {
                         self.unsat_at_root = true;
-                        return Some(SolveResult::Unsat);
+                        return SolveResult::Unsat;
                     }
                     // If the conflict is at or below the assumption levels we
                     // must be careful: analyze can still learn and backjump;
@@ -627,8 +527,7 @@ impl Solver {
                 None => {
                     if conflicts_until_restart == 0 {
                         self.stats.restarts += 1;
-                        conflicts_until_restart =
-                            luby(self.stats.restarts + self.cfg.restart_offset) * 100;
+                        conflicts_until_restart = luby(self.stats.restarts) * 100;
                         self.backtrack(0);
                     }
                     if self.n_learnt as f64 >= self.max_learnt {
@@ -640,7 +539,7 @@ impl Solver {
                     for &a in assumptions {
                         match self.lit_value(a) {
                             Some(true) => continue,
-                            Some(false) => return Some(SolveResult::Unsat),
+                            Some(false) => return SolveResult::Unsat,
                             None => {
                                 self.trail_lim.push(self.trail.len());
                                 self.enqueue_decision(a);
@@ -660,7 +559,7 @@ impl Solver {
                             let phase = self.saved_phase[v.0 as usize];
                             self.enqueue_decision(Lit::with_polarity(v, phase));
                         }
-                        None => return Some(SolveResult::Sat),
+                        None => return SolveResult::Sat,
                     }
                 }
             }
@@ -1650,10 +1549,7 @@ mod tests {
             let (n, clauses) = random_cnf(&mut next);
             let reference = reference_dpll(n, &clauses);
             for lbd in [true, false] {
-                let mut s = Solver::with_config(SolverConfig {
-                    lbd,
-                    ..SolverConfig::default()
-                });
+                let mut s = Solver::with_config(SolverConfig { lbd });
                 s.set_max_learnt(8.0); // exercise reduction constantly
                 let vars = lits(&mut s, n);
                 for c in &clauses {
@@ -1775,10 +1671,7 @@ mod tests {
             let (n, clauses) = random_cnf(&mut next);
             let mut verdicts = Vec::new();
             for lbd in [true, false] {
-                let mut s = Solver::with_config(SolverConfig {
-                    lbd,
-                    ..SolverConfig::default()
-                });
+                let mut s = Solver::with_config(SolverConfig { lbd });
                 s.set_max_learnt(8.0);
                 let vars = lits(&mut s, n);
                 for c in &clauses {
@@ -1794,19 +1687,6 @@ mod tests {
                 verdicts[0], verdicts[1],
                 "round {round}: LBD toggle changed the verdict"
             );
-        }
-    }
-
-    #[test]
-    fn solver_config_from_env_default_on() {
-        // Don't mutate the environment (tests run in-process and in
-        // parallel); just check the parse rules via explicit construction
-        // and the ambient default.
-        assert!(SolverConfig::default().lbd);
-        let cfg = SolverConfig::from_env();
-        match std::env::var("LEAPFROG_SAT_LBD") {
-            Ok(v) => assert_eq!(cfg.lbd, v != "0"),
-            Err(_) => assert!(cfg.lbd),
         }
     }
 }

@@ -52,6 +52,14 @@
 //! {"error": "unknown pair \"…\""}
 //! ```
 //!
+//! The `stats` object is [`run_stats_to_value`]'s encoding of the run's
+//! `RunStats`; its `queries` member carries the solver-level counters,
+//! with the CDCL counters nested under `queries.sat`. Older peers also
+//! sent their SAT racing counters as a `queries.portfolio` object; SAT
+//! racing is gone, so encoders no longer write it and decoders ignore it
+//! when present — a stats frame from such a peer decodes to the same
+//! `RunStats`.
+//!
 //! `metrics` and `slow_log` are answered by the connection thread
 //! directly from the process-global registry/trace collector — they
 //! never queue behind the engine, so a scrape succeeds even while a
@@ -75,7 +83,7 @@ use leapfrog_cex::{Disagreement, Refutation, Witness};
 use leapfrog_logic::confrel::ConfRel;
 use leapfrog_logic::templates::TemplatePair;
 use leapfrog_obs::{MetricsSnapshot, Phase, PhaseBreakdown, PhaseStat, SlowQuery};
-use leapfrog_smt::{PortfolioStats, QueryStats, SolverStats, LBD_BUCKETS, MAX_PORTFOLIO_LANES};
+use leapfrog_smt::{QueryStats, SolverStats, LBD_BUCKETS};
 
 /// Upper bound on a single frame's payload. Certificates on the full
 /// Table 2 scale stay far under this; anything larger is a protocol
@@ -745,7 +753,6 @@ pub fn query_stats_to_value(q: &QueryStats) -> Value {
         ),
         ("inst_ledger_hits", json::num(q.inst_ledger_hits as usize)),
         ("sat", solver_stats_to_value(&q.sat)),
-        ("portfolio", portfolio_stats_to_value(&q.portfolio)),
         (
             "durations_nanos",
             Value::Arr(q.durations.iter().map(|d| duration_to_value(*d)).collect()),
@@ -770,11 +777,6 @@ pub fn query_stats_from_value(v: &Value) -> Result<QueryStats, String> {
         blast_cache_misses: n("blast_cache_misses")?,
         inst_ledger_hits: n("inst_ledger_hits")?,
         sat: solver_stats_from_value(json::get(v, "sat").map_err(err)?)?,
-        // Absent in frames from pre-portfolio peers: default to all-zero.
-        portfolio: match json::get(v, "portfolio") {
-            Ok(p) => portfolio_stats_from_value(p)?,
-            Err(_) => PortfolioStats::default(),
-        },
         durations: json::as_arr(json::get(v, "durations_nanos").map_err(err)?)
             .map_err(err)?
             .iter()
@@ -829,62 +831,6 @@ pub fn solver_stats_from_value(v: &Value) -> Result<SolverStats, String> {
         deleted_clauses: n("deleted_clauses")?,
         learnt_clauses: n("learnt_clauses")?,
         lbd_histogram,
-    })
-}
-
-/// Encodes the SAT portfolio racing counters nested inside query
-/// statistics.
-pub fn portfolio_stats_to_value(p: &PortfolioStats) -> Value {
-    json::obj(vec![
-        ("lanes", json::num(p.lanes as usize)),
-        ("races", json::num(p.races as usize)),
-        ("solo", json::num(p.solo as usize)),
-        (
-            "wins",
-            Value::Arr(p.wins.iter().map(|&n| json::num(n as usize)).collect()),
-        ),
-        (
-            "lane_stats",
-            Value::Arr(p.lane_stats.iter().map(solver_stats_to_value).collect()),
-        ),
-    ])
-}
-
-/// Decodes the SAT portfolio racing counters.
-pub fn portfolio_stats_from_value(v: &Value) -> Result<PortfolioStats, String> {
-    let err = |e: json::JsonError| e.to_string();
-    let n = |k: &str| -> Result<u64, String> {
-        Ok(json::as_usize(json::get(v, k).map_err(err)?).map_err(err)? as u64)
-    };
-    let win_values = json::as_arr(json::get(v, "wins").map_err(err)?).map_err(err)?;
-    if win_values.len() != MAX_PORTFOLIO_LANES {
-        return Err(format!(
-            "portfolio wins has {} lanes, expected {MAX_PORTFOLIO_LANES}",
-            win_values.len()
-        ));
-    }
-    let mut wins = [0u64; MAX_PORTFOLIO_LANES];
-    for (slot, v) in wins.iter_mut().zip(win_values) {
-        *slot = json::as_usize(v).map_err(err)? as u64;
-    }
-    let lanes = n("lanes")?;
-    // Consumers index win histograms by the lane count; an out-of-range
-    // frame must be rejected here, not panic whoever formats it.
-    if lanes > MAX_PORTFOLIO_LANES as u64 {
-        return Err(format!(
-            "portfolio lane count {lanes} exceeds the maximum of {MAX_PORTFOLIO_LANES}"
-        ));
-    }
-    Ok(PortfolioStats {
-        lanes,
-        races: n("races")?,
-        solo: n("solo")?,
-        wins,
-        lane_stats: json::as_arr(json::get(v, "lane_stats").map_err(err)?)
-            .map_err(err)?
-            .iter()
-            .map(solver_stats_from_value)
-            .collect::<Result<_, _>>()?,
     })
 }
 

@@ -13,13 +13,12 @@ use leapfrog::{Outcome, RunStats};
 use leapfrog_obs::{PhaseBreakdown, PhaseStat, PHASES};
 use leapfrog_serve::proto::{
     fleet_stats_from_value, fleet_stats_to_value, outcome_to_value, overloaded_from_value,
-    overloaded_to_value, portfolio_stats_from_value, portfolio_stats_to_value, request_from_value,
-    request_to_value, run_stats_from_value, run_stats_to_value, verify_reply_from_value,
-    verify_reply_to_value, wire_outcome_from_value, wire_outcome_to_value, wire_witness_of,
-    EngineStatsReply, FleetStats, OverloadScope, Overloaded, PairSpec, Request, VerifyReply,
-    WireOptions, WireOutcome,
+    overloaded_to_value, request_from_value, request_to_value, run_stats_from_value,
+    run_stats_to_value, solver_stats_to_value, verify_reply_from_value, verify_reply_to_value,
+    wire_outcome_from_value, wire_outcome_to_value, wire_witness_of, EngineStatsReply, FleetStats,
+    OverloadScope, Overloaded, PairSpec, Request, VerifyReply, WireOptions, WireOutcome,
 };
-use leapfrog_smt::{PortfolioStats, QueryStats, SolverStats};
+use leapfrog_smt::{QueryStats, SolverStats};
 use leapfrog_suite::mutants::mutant_benchmarks;
 use leapfrog_suite::utility::sloppy_strict;
 use leapfrog_suite::{standard_benchmarks, Scale};
@@ -261,23 +260,6 @@ fn run_stats_roundtrip_randomized() {
                     learnt_clauses: next() % 1_000_000,
                     lbd_histogram: std::array::from_fn(|_| next() % 100_000),
                 },
-                portfolio: PortfolioStats {
-                    lanes: next() % 8,
-                    races: next() % 10_000,
-                    solo: next() % 10_000,
-                    wins: std::array::from_fn(|_| next() % 10_000),
-                    lane_stats: (0..(next() % 4))
-                        .map(|_| SolverStats {
-                            decisions: next() % 1_000_000,
-                            propagations: next() % 100_000_000,
-                            conflicts: next() % 1_000_000,
-                            restarts: next() % 10_000,
-                            deleted_clauses: next() % 1_000_000,
-                            learnt_clauses: next() % 1_000_000,
-                            lbd_histogram: std::array::from_fn(|_| next() % 100_000),
-                        })
-                        .collect(),
-                },
                 durations: (0..(next() % 8))
                     .map(|_| Duration::from_nanos(next() % 5_000_000_000))
                     .collect(),
@@ -408,25 +390,55 @@ fn run_stats_without_wp_calls_decode_as_zero() {
 }
 
 #[test]
-fn portfolio_frames_with_out_of_range_lane_counts_are_rejected() {
-    let stats = PortfolioStats {
-        lanes: 2,
-        ..PortfolioStats::default()
+fn stats_frames_with_sat_racing_counters_decode_unchanged() {
+    // Peers that raced SAT solver lanes nested their racing counters
+    // (lane count, race/solo counts, an 8-lane win histogram, per-lane
+    // solver counters) under `queries`, right after `queries.sat`. Such a
+    // frame must decode to the same `RunStats` as the frame without it.
+    let stats = RunStats {
+        iterations: 7,
+        entailment_checks: 5,
+        queries: QueryStats {
+            queries: 3,
+            cegar_rounds: 2,
+            sat: SolverStats {
+                decisions: 11,
+                conflicts: 2,
+                ..SolverStats::default()
+            },
+            ..QueryStats::default()
+        },
+        ..RunStats::default()
     };
-    let mut v = portfolio_stats_to_value(&stats);
-    portfolio_stats_from_value(&v).expect("in-range lane count decodes");
-    // Tamper the lane count past the histogram width: consumers slice the
-    // wins array by it, so the decoder must reject rather than let a
-    // malformed frame panic whoever formats the stats.
-    if let json::Value::Obj(fields) = &mut v {
-        for (k, val) in fields.iter_mut() {
-            if k == "lanes" {
-                *val = json::Value::Num(9.0);
-            }
+    let current = run_stats_to_value(&stats).render();
+    let mut v = run_stats_to_value(&stats);
+    let lane = solver_stats_to_value(&stats.queries.sat);
+    // The key those peers wrote.
+    let key = "portfolio";
+    let racing = json::obj(vec![
+        ("lanes", json::num(2)),
+        ("races", json::num(4)),
+        ("solo", json::num(9)),
+        (
+            "wins",
+            json::Value::Arr([3, 1, 0, 0, 0, 0, 0, 0].map(json::num).to_vec()),
+        ),
+        ("lane_stats", json::Value::Arr(vec![lane.clone(), lane])),
+    ]);
+    match field(&mut v, "queries") {
+        json::Value::Obj(fields) => {
+            let after_sat = fields.iter().position(|(k, _)| k == "sat").unwrap() + 1;
+            fields.insert(after_sat, (key.to_string(), racing));
         }
+        other => panic!("queries is not an object: {}", other.render()),
     }
-    let err = portfolio_stats_from_value(&v).expect_err("lanes above the cap must be rejected");
-    assert!(err.contains("lane count"), "unexpected error: {err}");
+    let older = v.render();
+    assert!(older.contains(&format!("\"{key}\": {{")), "{older}");
+    let decoded = run_stats_from_value(&json::parse(&older).expect("frame parses"))
+        .expect("a frame with racing counters decodes");
+    assert_eq!(run_stats_to_value(&decoded).render(), current);
+    assert_eq!(decoded.queries.sat.decisions, 11);
+    assert_eq!(decoded.iterations, 7);
 }
 
 #[test]

@@ -27,10 +27,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use leapfrog_bitvec::BitVec;
-use leapfrog_sat::{
-    Lit, Portfolio, PortfolioConfig, PortfolioStats, SolveResult, Solver, SolverConfig,
-    SolverStats, Var,
-};
+use leapfrog_sat::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
 
@@ -60,15 +57,6 @@ impl ClauseSink for Solver {
     }
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
         Solver::add_clause(self, lits)
-    }
-}
-
-impl ClauseSink for Portfolio {
-    fn fresh_lit(&mut self) -> Lit {
-        Lit::pos(self.new_var())
-    }
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        Portfolio::add_clause(self, lits)
     }
 }
 
@@ -279,59 +267,29 @@ fn negate(b: BBit) -> BBit {
     }
 }
 
-/// An incremental bit-blasting context over a CDCL solver portfolio.
-///
-/// With one configured lane (the default) this is exactly the old
-/// single-solver context; with `LEAPFROG_SAT_PORTFOLIO=N` (or an explicit
-/// [`PortfolioConfig`]) every solve large enough to clear the racing floor
-/// is raced across the lanes. Models always come from the canonical lane,
-/// so everything downstream of a context is byte-identical at any lane
-/// count (see [`leapfrog_sat::Portfolio`] for the argument).
+/// An incremental bit-blasting context over one CDCL solver.
 pub struct BlastContext {
-    engine: Engine<Portfolio>,
+    engine: Engine<Solver>,
 }
 
 impl Default for BlastContext {
     fn default() -> Self {
-        Self::new()
+        Self::new(SolverConfig::default())
     }
 }
 
 impl BlastContext {
-    /// Creates an empty context over a solver portfolio configured from
-    /// the `LEAPFROG_SAT_*` environment (the ambient-compat path).
-    pub fn new() -> Self {
-        BlastContext::with_portfolio(PortfolioConfig::from_env())
-    }
-
-    /// Creates an empty single-lane context with an explicit solver
-    /// configuration — the typed path engines use so the knob is read
-    /// once at engine construction, not once per query context.
-    pub fn with_config(cfg: SolverConfig) -> Self {
-        BlastContext::with_portfolio(PortfolioConfig::single(cfg))
-    }
-
-    /// Creates an empty context over an explicit solver portfolio — the
-    /// typed racing path (`EngineConfig::sat_portfolio`).
-    pub fn with_portfolio(cfg: PortfolioConfig) -> Self {
+    /// Creates an empty context over a solver with the given
+    /// configuration.
+    pub fn new(cfg: SolverConfig) -> Self {
         BlastContext {
-            engine: Engine::new(Portfolio::with_config(cfg)),
+            engine: Engine::new(Solver::with_config(cfg)),
         }
     }
 
-    /// Access to the canonical lane's solver, for statistics. Counters
-    /// read here are intentionally comparable with a portfolio-off run;
-    /// the racing lanes report via [`BlastContext::portfolio_stats`].
-    /// Takes `&mut self` because the portfolio may first have to wait out
-    /// a background canonical catch-up (see [`Portfolio::canonical`]).
-    pub fn solver(&mut self) -> &Solver {
-        self.engine.sink.canonical()
-    }
-
-    /// Racing statistics for this context's portfolio: race/solo counts,
-    /// the per-lane win histogram and per-lane solver counters.
-    pub fn portfolio_stats(&self) -> PortfolioStats {
-        self.engine.sink.portfolio_stats()
+    /// Access to the underlying solver, for statistics.
+    pub fn solver(&self) -> &Solver {
+        &self.engine.sink
     }
 
     /// The SAT literals representing `v`'s bits, allocating on first use.
@@ -447,14 +405,11 @@ impl BlastContext {
             SolveResult::Unsat => None,
             SolveResult::Sat => {
                 let mut m = Model::new();
-                // Read the model through the canonical lane directly: one
-                // catch-up join up front instead of a lock per literal.
-                let Engine { sink, var_bits, .. } = &mut self.engine;
-                let canon = sink.canonical();
+                let Engine { sink, var_bits, .. } = &self.engine;
                 for (&v, bits) in var_bits.iter() {
                     let mut bv = BitVec::zeros(bits.len());
                     for (i, &l) in bits.iter().enumerate() {
-                        if canon.lit_value(l) == Some(true) {
+                        if sink.lit_value(l) == Some(true) {
                             bv.set(i, true);
                         }
                     }
@@ -801,29 +756,28 @@ impl SharedBlastCache {
     }
 }
 
-/// Convenience: checks satisfiability of a single quantifier-free formula.
+/// Convenience: checks satisfiability of a single quantifier-free formula
+/// under the default solver configuration.
 pub fn sat_qf(decls: &Declarations, f: &Formula) -> Option<Model> {
-    sat_qf_counting(decls, &PortfolioConfig::from_env(), f).0
+    sat_qf_counting(decls, SolverConfig::default(), f).0
 }
 
-/// [`sat_qf`] with an explicit solver portfolio and the short-lived
+/// [`sat_qf`] with an explicit solver configuration and the short-lived
 /// context's CDCL counters handed back, so callers (the CEGAR validation
 /// path) can fold the work into their query statistics instead of losing
-/// it with the context. These validation contexts are typically far below
-/// the portfolio's racing floor, so in practice they solve on the
-/// canonical lane alone.
+/// it with the context.
 pub fn sat_qf_counting(
     decls: &Declarations,
-    cfg: &PortfolioConfig,
+    cfg: SolverConfig,
     f: &Formula,
-) -> (Option<Model>, SolverStats, PortfolioStats) {
+) -> (Option<Model>, SolverStats) {
     debug_assert!(f.is_quantifier_free());
-    let mut ctx = BlastContext::with_portfolio(cfg.clone());
+    let mut ctx = BlastContext::new(cfg);
     if !ctx.assert_formula(decls, f) {
-        return (None, ctx.solver().stats(), ctx.portfolio_stats());
+        return (None, ctx.solver().stats());
     }
     let m = ctx.solve(decls);
-    (m, ctx.solver().stats(), ctx.portfolio_stats())
+    (m, ctx.solver().stats())
 }
 
 #[allow(unused)]
@@ -973,7 +927,7 @@ mod tests {
     fn incremental_assertions_accumulate() {
         let mut d = Declarations::new();
         let x = d.declare("x", 2);
-        let mut ctx = BlastContext::new();
+        let mut ctx = BlastContext::default();
         ctx.assert_formula(
             &d,
             &Formula::not(Formula::eq(Term::var(x), Term::lit(bv("00")))),
@@ -1009,7 +963,7 @@ mod tests {
         let mut hits = 0;
         let mut misses = 0;
         for round in 0..3 {
-            let mut ctx = BlastContext::new();
+            let mut ctx = BlastContext::default();
             let (ok1, hit1) = ctx.assert_formula_cached(&d, &f1, &cache);
             let (ok2, hit2) = ctx.assert_formula_cached(&d, &f2, &cache);
             assert!(ok1 && ok2);
@@ -1044,7 +998,7 @@ mod tests {
         let cache = SharedBlastCache::new();
         let fa = Formula::eq(Term::var(a), Term::lit(bv("11")));
         let fb = Formula::eq(Term::var(b), Term::lit(bv("111")));
-        let mut ctx = BlastContext::new();
+        let mut ctx = BlastContext::default();
         let (_, hit_a) = ctx.assert_formula_cached(&d, &fa, &cache);
         let (_, hit_b) = ctx.assert_formula_cached(&d, &fb, &cache);
         assert!(!hit_a && !hit_b);
@@ -1060,7 +1014,7 @@ mod tests {
         let x = d.declare("x", 2);
         let y = d.declare("y", 2);
         let cache = SharedBlastCache::new();
-        let mut ctx = BlastContext::new();
+        let mut ctx = BlastContext::default();
         let (_, h1) =
             ctx.assert_formula_cached(&d, &Formula::eq(Term::var(x), Term::lit(bv("10"))), &cache);
         let (_, h2) =
@@ -1102,7 +1056,7 @@ mod tests {
         let cache = SharedBlastCache::with_enabled(true);
         let f1 = Formula::eq(Term::var(x), Term::var(y));
         let f2 = Formula::not(Formula::eq(Term::var(x), Term::lit(bv("010"))));
-        let mut ctx = BlastContext::new();
+        let mut ctx = BlastContext::default();
         ctx.assert_formula_cached(&d, &f1, &cache);
         ctx.assert_formula_cached(&d, &f2, &cache);
         let text = cache.export_text();
@@ -1112,7 +1066,7 @@ mod tests {
         assert_eq!(reloaded.stats().entries, 2);
         // Round trip is stable: exporting the import reproduces the text.
         assert_eq!(reloaded.export_text(), text);
-        let mut ctx2 = BlastContext::new();
+        let mut ctx2 = BlastContext::default();
         let (ok1, hit1) = ctx2.assert_formula_cached(&d, &f1, &reloaded);
         let (ok2, hit2) = ctx2.assert_formula_cached(&d, &f2, &reloaded);
         assert!(ok1 && ok2);
@@ -1148,7 +1102,7 @@ mod tests {
             Formula::eq(Term::var(x), Term::lit(bv("10"))),
         );
         for _ in 0..2 {
-            let mut ctx = BlastContext::new();
+            let mut ctx = BlastContext::default();
             let (ok, _) = ctx.assert_formula_cached(&d, &f, &cache);
             // Root-level constant false is detected at replay time.
             assert!(!ok || ctx.solve(&d).is_none());

@@ -45,10 +45,7 @@ pub mod solve;
 pub mod term;
 
 pub use blast::{BBit, BlastContext, CacheStats, SharedBlastCache};
-pub use leapfrog_sat::{
-    Lit, PortfolioConfig, PortfolioStats, SolverConfig, SolverStats, DEFAULT_PORTFOLIO_MIN_CLAUSES,
-    LBD_BUCKETS, MAX_PORTFOLIO_LANES,
-};
+pub use leapfrog_sat::{Lit, SolverConfig, SolverStats, LBD_BUCKETS};
 pub use solve::{
     check_sat, check_valid, instantiate_forall, violates_forall, CheckResult, InstLedger,
     OracleRound, QueryStats, RefinementOracle, SatOutcome, SmtSolver,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use crate::blast::{canonical_key, sat_qf_counting, BlastContext, SharedBlastCache};
 use crate::smtlib;
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
-use leapfrog_sat::{PortfolioConfig, PortfolioStats, SolverConfig, SolverStats};
+use leapfrog_sat::{SolverConfig, SolverStats};
 
 /// Global metric handles for the solving core. Counters mirror the
 /// per-query [`QueryStats`] fields but accumulate process-wide, so the
@@ -90,11 +90,6 @@ pub struct QueryStats {
     /// contexts (across GC rebuilds), one-shot contexts and the
     /// quantifier-free validation solves of the CEGAR oracle.
     pub sat: SolverStats,
-    /// SAT portfolio racing counters (race/solo counts, per-lane wins and
-    /// per-lane solver work) summed over the same contexts. All zero when
-    /// no portfolio is configured; `sat` above always reports only the
-    /// canonical lane, so it stays comparable across lane counts.
-    pub portfolio: PortfolioStats,
     /// Wall-clock time per query, in the order issued.
     pub durations: Vec<Duration>,
 }
@@ -129,7 +124,6 @@ impl QueryStats {
         self.blast_cache_misses += other.blast_cache_misses;
         self.inst_ledger_hits += other.inst_ledger_hits;
         self.sat.absorb(&other.sat);
-        self.portfolio.absorb(&other.portfolio);
         self.durations.extend(other.durations.iter().copied());
     }
 
@@ -150,7 +144,6 @@ impl QueryStats {
             blast_cache_misses: self.blast_cache_misses - base.blast_cache_misses,
             inst_ledger_hits: self.inst_ledger_hits - base.inst_ledger_hits,
             sat: self.sat.delta_since(&base.sat),
-            portfolio: self.portfolio.delta_since(&base.portfolio),
             durations: self.durations[base.durations.len().min(self.durations.len())..].to_vec(),
         }
     }
@@ -172,32 +165,36 @@ impl QueryStats {
 }
 
 /// A stateful SMT front-end: runs queries, keeps statistics, shares a
-/// cross-query [`SharedBlastCache`], and optionally dumps each query in
-/// SMT-LIB 2 format (mirroring the paper's plugin) when the
-/// `LEAPFROG_DUMP_SMT` environment variable names a directory.
+/// cross-query [`SharedBlastCache`], runs every SAT solve under one
+/// [`SolverConfig`], and optionally dumps each query in SMT-LIB 2 format
+/// (mirroring the paper's plugin) when the `LEAPFROG_DUMP_SMT`
+/// environment variable names a directory.
 #[derive(Debug, Default)]
 pub struct SmtSolver {
     stats: QueryStats,
     dump_dir: Option<std::path::PathBuf>,
     cache: SharedBlastCache,
+    sat: SolverConfig,
 }
 
 impl SmtSolver {
     /// Creates a solver, honouring `LEAPFROG_DUMP_SMT`, with a fresh blast
-    /// cache.
+    /// cache and the default solver configuration.
     pub fn new() -> Self {
-        Self::with_shared_cache(SharedBlastCache::new())
+        Self::with_shared_cache(SharedBlastCache::new(), SolverConfig::default())
     }
 
     /// Creates a solver that shares an existing blast cache — worker
     /// threads each build one of these around the main solver's cache, so
-    /// premise CNF blasted by any worker is reused by all.
-    pub fn with_shared_cache(cache: SharedBlastCache) -> Self {
+    /// premise CNF blasted by any worker is reused by all — and solves
+    /// under `sat`.
+    pub fn with_shared_cache(cache: SharedBlastCache, sat: SolverConfig) -> Self {
         let dump_dir = std::env::var_os("LEAPFROG_DUMP_SMT").map(std::path::PathBuf::from);
         SmtSolver {
             stats: QueryStats::default(),
             dump_dir,
             cache,
+            sat,
         }
     }
 
@@ -227,7 +224,7 @@ impl SmtSolver {
             let path = dir.join(format!("query_{:05}.smt2", self.stats.queries));
             let _ = std::fs::write(path, smtlib::validity_query(decls, f));
         }
-        let (result, meters) = check_valid_counting(decls, f, Some(&self.cache));
+        let (result, meters) = check_valid_counting(decls, f, self.sat, Some(&self.cache));
         self.stats.queries += 1;
         meters.fold_into(&mut self.stats);
         let elapsed = start.elapsed();
@@ -247,7 +244,6 @@ struct SolveMeters {
     cache_hits: u64,
     cache_misses: u64,
     sat: SolverStats,
-    portfolio: PortfolioStats,
 }
 
 impl SolveMeters {
@@ -258,23 +254,23 @@ impl SolveMeters {
         stats.blast_cache_hits += self.cache_hits;
         stats.blast_cache_misses += self.cache_misses;
         stats.sat.absorb(&self.sat);
-        stats.portfolio.absorb(&self.portfolio);
     }
 }
 
 /// Checks validity of `f`, treating free variables as universally
 /// quantified. Stateless convenience wrapper around [`SmtSolver`] logic
-/// (no cross-query cache).
+/// (no cross-query cache, default solver configuration).
 pub fn check_valid(decls: &Declarations, f: &Formula) -> CheckResult {
-    check_valid_counting(decls, f, None).0
+    check_valid_counting(decls, f, SolverConfig::default(), None).0
 }
 
 fn check_valid_counting(
     decls: &Declarations,
     f: &Formula,
+    sat: SolverConfig,
     cache: Option<&SharedBlastCache>,
 ) -> (CheckResult, SolveMeters) {
-    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), cache);
+    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), sat, cache);
     let result = match outcome {
         SatOutcome::Unsat => CheckResult::Valid,
         SatOutcome::Sat(m) => CheckResult::Invalid(m),
@@ -284,14 +280,15 @@ fn check_valid_counting(
 
 /// Checks satisfiability of `f` (free variables existential). Supports the
 /// `∃∀` fragment: after negation-normalization, `Forall` blocks must have
-/// quantifier-free bodies.
+/// quantifier-free bodies. Runs under the default solver configuration.
 pub fn check_sat(decls: &Declarations, f: &Formula) -> SatOutcome {
-    check_sat_counting(decls, f, None).0
+    check_sat_counting(decls, f, SolverConfig::default(), None).0
 }
 
 fn check_sat_counting(
     decls: &Declarations,
     f: &Formula,
+    sat: SolverConfig,
     cache: Option<&SharedBlastCache>,
 ) -> (SatOutcome, SolveMeters) {
     let mut decls = decls.clone();
@@ -303,7 +300,7 @@ fn check_sat_counting(
     let mut foralls: Vec<(Vec<BvVar>, Formula)> = Vec::new();
     split_conjuncts(&nf, &mut qf, &mut foralls);
 
-    let mut ctx = BlastContext::new();
+    let mut ctx = BlastContext::new(sat);
     let mut meters = SolveMeters::default();
     let assert =
         |ctx: &mut BlastContext, decls: &Declarations, f: &Formula, m: &mut SolveMeters| -> bool {
@@ -328,7 +325,7 @@ fn check_sat_counting(
     }
     // Seed each forall with the all-zeros instantiation and hand the block
     // to the refinement oracle.
-    let mut oracle = RefinementOracle::new();
+    let mut oracle = RefinementOracle::new(sat);
     for (xs, body) in foralls {
         let seed: Vec<BitVec> = xs.iter().map(|x| BitVec::zeros(decls.width(*x))).collect();
         ok &= assert(
@@ -341,7 +338,6 @@ fn check_sat_counting(
     }
     if !ok {
         meters.sat.absorb(&ctx.solver().stats());
-        meters.portfolio.absorb(&ctx.portfolio_stats());
         return (SatOutcome::Unsat, meters);
     }
 
@@ -350,7 +346,6 @@ fn check_sat_counting(
         match ctx.solve(&decls) {
             None => {
                 meters.sat.absorb(&ctx.solver().stats());
-                meters.portfolio.absorb(&ctx.portfolio_stats());
                 return (SatOutcome::Unsat, meters);
             }
             Some(model) => {
@@ -360,17 +355,14 @@ fn check_sat_counting(
                 let round = oracle.validate(&decls, &model);
                 meters.blocks_validated += round.validated;
                 meters.sat.absorb(&round.sat);
-                meters.portfolio.absorb(&round.portfolio);
                 match round.refinement {
                     None => {
                         meters.sat.absorb(&ctx.solver().stats());
-                        meters.portfolio.absorb(&ctx.portfolio_stats());
                         return (SatOutcome::Sat(model), meters);
                     }
                     Some(batch) => {
                         if !assert(&mut ctx, &decls, &batch, &mut meters) {
                             meters.sat.absorb(&ctx.solver().stats());
-                            meters.portfolio.absorb(&ctx.portfolio_stats());
                             return (SatOutcome::Unsat, meters);
                         }
                     }
@@ -662,10 +654,6 @@ pub struct OracleRound {
     /// CDCL counters of the quantifier-free validation solves this round
     /// (each validation runs in its own short-lived solver context).
     pub sat: SolverStats,
-    /// Portfolio racing counters of the same validation solves — in
-    /// practice all-solo, since validation contexts sit far below the
-    /// racing floor.
-    pub portfolio: PortfolioStats,
 }
 
 /// The variable-indexed CEGAR model validator.
@@ -690,31 +678,19 @@ pub struct OracleRound {
 pub struct RefinementOracle {
     blocks: Vec<OracleBlock>,
     /// Construction knobs for the short-lived validation solvers.
-    sat_cfg: PortfolioConfig,
+    sat_cfg: SolverConfig,
 }
 
 impl Default for RefinementOracle {
     fn default() -> RefinementOracle {
-        RefinementOracle::new()
+        RefinementOracle::new(SolverConfig::default())
     }
 }
 
 impl RefinementOracle {
-    /// An oracle with no blocks; validation solvers configured from the
-    /// `LEAPFROG_SAT_*` environment.
-    pub fn new() -> RefinementOracle {
-        RefinementOracle::with_portfolio(PortfolioConfig::from_env())
-    }
-
-    /// An oracle with no blocks whose validation solves run under an
-    /// explicit single-lane solver configuration.
-    pub fn with_solver_config(sat_cfg: SolverConfig) -> RefinementOracle {
-        RefinementOracle::with_portfolio(PortfolioConfig::single(sat_cfg))
-    }
-
-    /// An oracle with no blocks whose validation solves run under an
-    /// explicit solver portfolio (the typed path guard sessions use).
-    pub fn with_portfolio(sat_cfg: PortfolioConfig) -> RefinementOracle {
+    /// An oracle with no blocks whose validation solves run under
+    /// `sat_cfg`.
+    pub fn new(sat_cfg: SolverConfig) -> RefinementOracle {
         RefinementOracle {
             blocks: Vec::new(),
             sat_cfg,
@@ -835,12 +811,11 @@ impl RefinementOracle {
                 .collect();
             match refute_closed(
                 decls,
-                &self.sat_cfg,
+                self.sat_cfg,
                 &block.xs,
                 &block.body,
                 &map,
                 &mut round.sat,
-                &mut round.portfolio,
             ) {
                 Some(witness) => {
                     if let (Some(ledger), Some(lkey)) = (ledger, lkey) {
@@ -874,12 +849,13 @@ impl RefinementOracle {
     }
 }
 
-/// If `model` violates `∀xs. body`, returns witness values for `xs`.
-/// The stateless building block of [`RefinementOracle::validate`] (which
-/// adds support indexing and caching on top of the same core), kept
-/// public for one-off checks.
+/// If `model` violates `∀xs. body`, returns witness values for `xs`,
+/// solving under `sat_cfg`. The stateless building block of
+/// [`RefinementOracle::validate`] (which adds support indexing and caching
+/// on top of the same core), kept public for one-off checks.
 pub fn violates_forall(
     decls: &Declarations,
+    sat_cfg: SolverConfig,
     model: &Model,
     xs: &[BvVar],
     body: &Formula,
@@ -896,34 +872,23 @@ pub fn violates_forall(
             map.insert(v, Term::lit(value));
         }
     }
-    refute_closed(
-        decls,
-        &PortfolioConfig::from_env(),
-        xs,
-        body,
-        &map,
-        &mut SolverStats::default(),
-        &mut PortfolioStats::default(),
-    )
+    refute_closed(decls, sat_cfg, xs, body, &map, &mut SolverStats::default())
 }
 
 /// Closes `body`'s support variables with `map` and searches for values
 /// of `xs` falsifying the closed body — the shared core of
 /// [`violates_forall`] and [`RefinementOracle::validate`].
-#[allow(clippy::too_many_arguments)]
 fn refute_closed(
     decls: &Declarations,
-    sat_cfg: &PortfolioConfig,
+    sat_cfg: SolverConfig,
     xs: &[BvVar],
     body: &Formula,
     map: &HashMap<BvVar, Term>,
     sat: &mut SolverStats,
-    portfolio: &mut PortfolioStats,
 ) -> Option<Vec<BitVec>> {
     let closed = Formula::not(body.subst(map));
-    let (m, solve_stats, portfolio_stats) = sat_qf_counting(decls, sat_cfg, &closed);
+    let (m, solve_stats) = sat_qf_counting(decls, sat_cfg, &closed);
     sat.absorb(&solve_stats);
-    portfolio.absorb(&portfolio_stats);
     let m = m?;
     Some(
         xs.iter()
@@ -1246,7 +1211,7 @@ mod tests {
             Term::concat(Term::var(a), Term::var(x)),
             Term::concat(Term::var(a), Term::var(x)),
         );
-        let mut oracle = RefinementOracle::new();
+        let mut oracle = RefinementOracle::default();
         oracle.add_block(vec![x], body);
         assert_eq!(oracle.len(), 1);
         let mut m = Model::new();
@@ -1272,7 +1237,7 @@ mod tests {
         let b = d.declare("b", 2);
         let x = d.declare("x", 2);
         let y = d.declare("y", 2);
-        let mut oracle = RefinementOracle::new();
+        let mut oracle = RefinementOracle::default();
         // ∀x. x = a  and  ∀y. y = b: violated for every valuation.
         oracle.add_block(vec![x], Formula::Eq(Term::var(x), Term::var(a)));
         oracle.add_block(vec![y], Formula::Eq(Term::var(y), Term::var(b)));
@@ -1301,7 +1266,7 @@ mod tests {
             let a = d.declare(names[0], 2);
             let b = d.declare(names[1], 2);
             let x = d.declare(names[2], 2);
-            let mut oracle = RefinementOracle::new();
+            let mut oracle = RefinementOracle::default();
             // Clean block: ∀x. a ++ x = a ++ x. Violated block: ∀x. x = b.
             oracle.add_block(
                 vec![x],
@@ -1351,7 +1316,7 @@ mod tests {
         let a = d.declare("a", 2);
         let b = d.declare("b", 2);
         let x = d.declare("x", 2);
-        let mut oracle = RefinementOracle::new();
+        let mut oracle = RefinementOracle::default();
         oracle.add_block(
             vec![x],
             Formula::Eq(
@@ -1370,7 +1335,7 @@ mod tests {
         let reloaded = InstLedger::new();
         assert_eq!(reloaded.import_text(&text), Ok(ledger.len()));
         assert_eq!(reloaded.export_text(), text, "round trip is stable");
-        let mut oracle2 = RefinementOracle::new();
+        let mut oracle2 = RefinementOracle::default();
         oracle2.add_block(
             vec![x],
             Formula::Eq(
@@ -1443,6 +1408,7 @@ mod tests {
             stats: QueryStats::default(),
             dump_dir: None,
             cache: SharedBlastCache::new(),
+            sat: SolverConfig::default(),
         };
         s.check_valid(&d, &Formula::Eq(Term::var(x), Term::var(x)));
         s.check_valid(&d, &Formula::Eq(Term::var(x), Term::lit(bv("0000"))));
@@ -1488,7 +1454,7 @@ mod tests {
         let f = Formula::Eq(Term::var(x), Term::lit(bv("1010")));
         let mut s1 = SmtSolver::new();
         assert!(matches!(s1.check_valid(&d, &f), CheckResult::Invalid(_)));
-        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache());
+        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache(), SolverConfig::default());
         assert!(matches!(s2.check_valid(&d, &f), CheckResult::Invalid(_)));
         if s2.shared_cache().is_disabled() {
             return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.

@@ -137,7 +137,10 @@ pub fn check_and_cross_validate(
     qr: StateId,
     options: Options,
 ) -> Result<Outcome, String> {
-    let mut engine = Engine::new(EngineConfig::from_options(&options));
+    let mut engine = Engine::new(EngineConfig {
+        options,
+        ..EngineConfig::from_env()
+    });
     check_and_cross_validate_in(&mut engine, left, ql, right, qr)
 }
 
@@ -182,7 +185,10 @@ pub fn check_cross_validate_and_record(
     name: &str,
     corpus: &mut crate::corpus::WitnessCorpus,
 ) -> Result<Outcome, String> {
-    let mut engine = Engine::new(EngineConfig::from_options(&options));
+    let mut engine = Engine::new(EngineConfig {
+        options,
+        ..EngineConfig::from_env()
+    });
     check_cross_validate_and_record_in(&mut engine, left, ql, right, qr, name, corpus)
 }
 

@@ -59,7 +59,6 @@
 //! | `LEAPFROG_STRICT_WITNESS` | `strict_witness(true)` |
 //! | `LEAPFROG_NO_BLAST_CACHE` | `blast_cache(false)` |
 //! | `LEAPFROG_SAT_LBD` | `sat_lbd(false)` when `0` |
-//! | `LEAPFROG_SAT_PORTFOLIO` | `sat_portfolio(lanes)` (`0`/`1` = single solver) |
 //! | `LEAPFROG_WARM_CAP` | `warm_capacity(n)` (`0` = unbounded) |
 //!
 //! `LEAPFROG_SCALE`, `LEAPFROG_WITNESS_CORPUS` and

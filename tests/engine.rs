@@ -5,7 +5,7 @@
 //! ever reduce rebuild churn.
 
 use leapfrog::checker::check_language_equivalence;
-use leapfrog::{Engine, EngineConfig, Options, Outcome, QuerySpec, RunStats};
+use leapfrog::{Checker, EngineConfig, Outcome, QuerySpec, RunStats};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface::parse;
 use leapfrog_suite::utility::{sloppy_strict, state_rearrangement};
@@ -103,52 +103,6 @@ fn witnesses_identical_one_shot_cold_warm_and_batch() {
                 witness_text(o),
                 "batch witness {i} differs at threads={threads}"
             );
-        }
-    }
-}
-
-#[test]
-fn portfolio_engines_agree_with_the_single_solver_byte_for_byte() {
-    // The persistent-engine side of the portfolio contract: cold, warm and
-    // batch runs through portfolio-racing engines (2 and 4 lanes) must
-    // reproduce the single-solver certificate and witness bytes exactly,
-    // at threads ∈ {1, 4}.
-    let (a, sa, b, sb) = chunking_pair();
-    let (l, ql, r, qr) = refuted_pair();
-    let base_cert = cert_json(&check_language_equivalence(&a, sa, &b, sb));
-    let base_witness = witness_text(&check_language_equivalence(&l, ql, &r, qr));
-    for lanes in [2usize, 4] {
-        for threads in [1usize, 4] {
-            // Zero racing floor: every entailment solve actually races,
-            // so the byte-identity claim is tested on real races (with
-            // the default floor, small fixtures mostly solve solo).
-            let mut engine = EngineConfig::new()
-                .sat_portfolio(lanes)
-                .sat_portfolio_min_clauses(0)
-                .threads(threads)
-                .build();
-            let cold = cert_json(&engine.check(&a, sa, &b, sb));
-            assert_eq!(
-                base_cert, cold,
-                "cold certificate differs at lanes={lanes} threads={threads}"
-            );
-            let warm = cert_json(&engine.check(&a, sa, &b, sb));
-            assert_eq!(
-                base_cert, warm,
-                "warm certificate differs at lanes={lanes} threads={threads}"
-            );
-            let cold_w = witness_text(&engine.check(&l, ql, &r, qr));
-            assert_eq!(
-                base_witness, cold_w,
-                "witness differs at lanes={lanes} threads={threads}"
-            );
-            let specs = vec![
-                QuerySpec::new("cert", &a, sa, &b, sb),
-                QuerySpec::new("sanity", &l, ql, &r, qr),
-            ];
-            let outcomes = engine.check_batch(&specs);
-            assert_eq!(base_cert, cert_json(&outcomes[0]));
-            assert_eq!(base_witness, witness_text(&outcomes[1]));
         }
     }
 }
@@ -298,18 +252,16 @@ fn gc_floor_reduces_rebuilds_on_small_rows_without_changing_results() {
     // than without it — and certificates must match exactly.
     let bench = state_rearrangement::state_rearrangement_benchmark();
     let run = |floor: u64| {
-        let opts = Options {
-            threads: 1,
-            session_gc_ratio: Some(4.0),
-            session_gc_floor: floor,
-            ..Options::default()
-        };
-        let mut checker = leapfrog::Checker::new(
+        let config = EngineConfig::from_env()
+            .threads(1)
+            .session_gc_ratio(Some(4.0))
+            .session_gc_floor(floor);
+        let mut checker = Checker::with_config(
             &bench.left,
             bench.left_start,
             &bench.right,
             bench.right_start,
-            opts,
+            config,
         );
         let cert = cert_json(&checker.run());
         (cert, checker.stats().session_rebuilds())
@@ -327,26 +279,9 @@ fn gc_floor_reduces_rebuilds_on_small_rows_without_changing_results() {
 }
 
 #[test]
-fn config_from_options_round_trips() {
-    let opts = Options {
-        leaps: false,
-        reach_pruning: false,
-        early_stop: false,
-        max_iterations: Some(7),
-        threads: 3,
-        strict_witness: true,
-        session_gc_ratio: Some(2.5),
-        session_gc_floor: 64,
-        blast_cache: false,
-        sat_lbd: false,
-        sat_portfolio: 3,
-        sat_portfolio_min_clauses: 17,
-    };
-    let cfg = EngineConfig::from_options(&opts);
-    let back = cfg.options();
-    assert_eq!(format!("{opts:?}"), format!("{back:?}"));
+fn blast_cache_setting_reaches_the_engine() {
     // The engine honours the blast-cache setting from typed config alone.
-    let engine = Engine::new(cfg);
+    let engine = EngineConfig::new().blast_cache(false).build();
     assert!(engine.shared_cache().is_disabled());
     let engine = EngineConfig::new().build();
     // With pure defaults the cache is enabled regardless of environment —

@@ -3,7 +3,7 @@
 //! agreement, cross-query blast-cache correctness, and the witness
 //! regression corpus loop.
 
-use leapfrog::{Checker, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Options, Outcome};
 use leapfrog_logic::lower::{entails_filtered, entails_stateless, lower, lower_filtered};
 use leapfrog_logic::store::RelationStore;
 use leapfrog_p4a::ast::{Automaton, StateId};
@@ -15,11 +15,9 @@ use leapfrog_suite::utility::{mpls, sloppy_strict, state_rearrangement, vlan_ini
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn opts(threads: usize) -> Options {
-    Options {
-        threads,
-        ..Options::default()
-    }
+/// An engine configuration from the environment, pinned to `threads`.
+fn config(threads: usize) -> EngineConfig {
+    EngineConfig::from_env().threads(threads)
 }
 
 /// The equivalent seed pairs: the utility case studies plus two surface
@@ -61,7 +59,7 @@ fn certificates_are_byte_identical_across_thread_counts() {
     for (name, left, ql, right, qr) in equivalent_pairs() {
         let mut jsons = Vec::new();
         for threads in THREAD_COUNTS {
-            let mut checker = Checker::new(&left, ql, &right, qr, opts(threads));
+            let mut checker = Checker::with_config(&left, ql, &right, qr, config(threads));
             match checker.run() {
                 Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
                 other => panic!("{name}: expected Equivalent at threads={threads}, got {other:?}"),
@@ -99,7 +97,7 @@ fn witnesses_are_byte_identical_across_thread_counts() {
     for (name, left, ql, right, qr) in pairs {
         let mut rendered = Vec::new();
         for threads in THREAD_COUNTS {
-            let mut checker = Checker::new(left, ql, right, qr, opts(threads));
+            let mut checker = Checker::with_config(left, ql, right, qr, config(threads));
             match checker.run() {
                 Outcome::NotEquivalent(refutation) => {
                     let w = refutation.witness().unwrap_or_else(|| {
@@ -136,7 +134,7 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
     for tracing in [false, true] {
         leapfrog_obs::set_trace_enabled(tracing);
         for threads in [1, 4] {
-            let mut checker = Checker::new(&left, ql, &right, qr, opts(threads));
+            let mut checker = Checker::with_config(&left, ql, &right, qr, config(threads));
             match checker.run() {
                 Outcome::Equivalent(cert) => certs.push(cert.to_json()),
                 other => panic!(
@@ -144,7 +142,7 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
                      got {other:?}"
                 ),
             }
-            let mut refuter = Checker::new(&sloppy, sl, &strict, st, opts(threads));
+            let mut refuter = Checker::with_config(&sloppy, sl, &strict, st, config(threads));
             match refuter.run() {
                 Outcome::NotEquivalent(refutation) => {
                     let w = refutation.witness().unwrap_or_else(|| {
@@ -186,13 +184,8 @@ fn certificates_and_witnesses_identical_across_session_gc_settings() {
         let mut jsons = Vec::new();
         for (gc, floor) in gc_settings {
             for threads in [1, 2] {
-                let opts = Options {
-                    threads,
-                    session_gc_ratio: gc,
-                    session_gc_floor: floor,
-                    ..Options::default()
-                };
-                let mut checker = Checker::new(&left, ql, &right, qr, opts);
+                let config = config(threads).session_gc_ratio(gc).session_gc_floor(floor);
+                let mut checker = Checker::with_config(&left, ql, &right, qr, config);
                 match checker.run() {
                     Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
                     other => panic!("{name}: expected Equivalent at gc={gc:?}, got {other:?}"),
@@ -231,12 +224,10 @@ fn certificates_and_witnesses_identical_across_session_gc_settings() {
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
     let mut rendered = Vec::new();
     for (gc, floor) in gc_settings {
-        let opts = Options {
-            session_gc_ratio: gc,
-            session_gc_floor: floor,
-            ..Options::default()
-        };
-        let mut checker = Checker::new(&sloppy, ql, &strict, qr, opts);
+        let config = EngineConfig::from_env()
+            .session_gc_ratio(gc)
+            .session_gc_floor(floor);
+        let mut checker = Checker::with_config(&sloppy, ql, &strict, qr, config);
         match checker.run() {
             Outcome::NotEquivalent(refutation) => {
                 let w = refutation
@@ -264,11 +255,7 @@ fn results_are_byte_identical_with_lbd_management_on_and_off() {
         let mut jsons = Vec::new();
         let mut queries = Vec::new();
         for lbd in [true, false] {
-            let opts = Options {
-                sat_lbd: lbd,
-                ..opts(2)
-            };
-            let mut checker = Checker::new(&left, ql, &right, qr, opts);
+            let mut checker = Checker::with_config(&left, ql, &right, qr, config(2).sat_lbd(lbd));
             match checker.run() {
                 Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
                 other => panic!("{name}: expected Equivalent at lbd={lbd}, got {other:?}"),
@@ -290,11 +277,7 @@ fn results_are_byte_identical_with_lbd_management_on_and_off() {
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
     let mut rendered = Vec::new();
     for lbd in [true, false] {
-        let opts = Options {
-            sat_lbd: lbd,
-            ..opts(2)
-        };
-        let mut checker = Checker::new(&sloppy, ql, &strict, qr, opts);
+        let mut checker = Checker::with_config(&sloppy, ql, &strict, qr, config(2).sat_lbd(lbd));
         match checker.run() {
             Outcome::NotEquivalent(refutation) => {
                 let w = refutation
@@ -309,156 +292,6 @@ fn results_are_byte_identical_with_lbd_management_on_and_off() {
     assert_eq!(
         rendered[0], rendered[1],
         "witness rendering differs with LBD management off"
-    );
-}
-
-#[test]
-fn results_are_byte_identical_across_portfolio_lane_counts() {
-    // SAT portfolio racing is a pure wall-clock optimization: verdicts are
-    // semantic and models always come from the canonical lane, so
-    // certificates and the query trajectory must be byte-identical with
-    // the portfolio off, at 2 lanes and at 4 lanes — across thread counts,
-    // with LBD management disabled, and under a forced session GC.
-    for (name, left, ql, right, qr) in equivalent_pairs() {
-        let mut jsons = Vec::new();
-        // Query trajectories are only comparable at a fixed thread count
-        // (parallel runs add speculative checks and merge rechecks), so
-        // they are grouped by every knob except the lane count.
-        let mut queries: std::collections::HashMap<String, Vec<u64>> =
-            std::collections::HashMap::new();
-        let mut variants: Vec<Options> = Vec::new();
-        for lanes in [0usize, 2, 4] {
-            for threads in [1usize, 4] {
-                variants.push(Options {
-                    sat_portfolio: lanes,
-                    threads,
-                    ..Options::default()
-                });
-            }
-        }
-        // The interaction axes: racing with the LBD policy flipped, and
-        // racing while the clause-budget GC churns contexts.
-        variants.push(Options {
-            sat_portfolio: 2,
-            sat_lbd: false,
-            ..opts(2)
-        });
-        variants.push(Options {
-            sat_portfolio: 2,
-            session_gc_ratio: Some(0.001),
-            session_gc_floor: 0,
-            ..opts(2)
-        });
-        // Zero racing floor: every entailment solve actually races, so the
-        // byte-identity assertions bite on real races (with the default
-        // floor, small fixtures mostly solve solo below it).
-        for lanes in [2usize, 4] {
-            variants.push(Options {
-                sat_portfolio: lanes,
-                sat_portfolio_min_clauses: 0,
-                ..opts(1)
-            });
-        }
-        for o in variants {
-            let label = format!(
-                "lanes={} floor={} threads={} lbd={} gc={:?}",
-                o.sat_portfolio,
-                o.sat_portfolio_min_clauses,
-                o.threads,
-                o.sat_lbd,
-                o.session_gc_ratio
-            );
-            let mut checker = Checker::new(&left, ql, &right, qr, o);
-            match checker.run() {
-                Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
-                other => panic!("{name}: expected Equivalent at {label}, got {other:?}"),
-            }
-            let group = format!(
-                "threads={} lbd={} gc={:?}",
-                o.threads, o.sat_lbd, o.session_gc_ratio
-            );
-            queries
-                .entry(group)
-                .or_default()
-                .push(checker.stats().queries.queries);
-            let portfolio = &checker.stats().queries.portfolio;
-            if o.sat_portfolio >= 2 {
-                assert_eq!(
-                    portfolio.lanes, o.sat_portfolio as u64,
-                    "{name}: configured lanes must surface in RunStats at {label}"
-                );
-                assert!(
-                    portfolio.races + portfolio.solo > 0,
-                    "{name}: portfolio solve counters must be wired at {label}"
-                );
-                if o.sat_portfolio_min_clauses == 0 {
-                    assert!(
-                        portfolio.races > 0,
-                        "{name}: a zero racing floor must make solves race at {label}"
-                    );
-                }
-            } else {
-                assert_eq!(
-                    portfolio.races, 0,
-                    "{name}: no races may be recorded with the portfolio off"
-                );
-            }
-        }
-        assert!(
-            jsons.windows(2).all(|w| w[0] == w[1]),
-            "{name}: certificate JSON differs across portfolio lane counts"
-        );
-        for (group, counts) in &queries {
-            assert!(
-                counts.windows(2).all(|w| w[0] == w[1]),
-                "{name}: query trajectory differs across lane counts at {group}: {counts:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn witnesses_are_byte_identical_across_portfolio_lane_counts() {
-    // The refuted side of the same contract: the rendered witness (packet,
-    // stores, trace) must not depend on the portfolio lane count.
-    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
-    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
-    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut rendered = Vec::new();
-    for lanes in [0usize, 2, 4] {
-        for threads in [1usize, 4] {
-            // Zero racing floor so racing variants really race (the floor
-            // is irrelevant with the portfolio off).
-            let o = Options {
-                sat_portfolio: lanes,
-                sat_portfolio_min_clauses: 0,
-                threads,
-                ..Options::default()
-            };
-            let mut checker = Checker::new(&sloppy, ql, &strict, qr, o);
-            match checker.run() {
-                Outcome::NotEquivalent(refutation) => {
-                    let w = refutation.witness().unwrap_or_else(|| {
-                        panic!("witness must confirm at lanes={lanes} threads={threads}")
-                    });
-                    assert!(w.check());
-                    rendered.push(format!("{w}"));
-                }
-                other => panic!(
-                    "expected NotEquivalent at lanes={lanes} threads={threads}, got {other:?}"
-                ),
-            }
-            if lanes >= 2 {
-                assert!(
-                    checker.stats().queries.portfolio.races > 0,
-                    "zero racing floor must make solves race at lanes={lanes} threads={threads}"
-                );
-            }
-        }
-    }
-    assert!(
-        rendered.windows(2).all(|w| w[0] == w[1]),
-        "witness rendering differs across portfolio lane counts:\n{rendered:?}"
     );
 }
 
