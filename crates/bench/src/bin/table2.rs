@@ -1,9 +1,8 @@
 //! Regenerates Table 2 of the paper: every case-study row with States /
 //! Branched bits / Total bits / Runtime / Memory, plus the §7.3 SMT
 //! latency summary, the §7.1 sanity check on inequivalent parsers, and —
-//! since the guard-indexed parallel pipeline landed — the per-row thread
-//! count, blast-cache hit rate, guard-index hit rate and speedup versus a
-//! single-threaded run of the same row.
+//! since the guard-indexed pipeline landed — the per-row thread count,
+//! blast-cache hit rate and guard-index hit rate.
 //!
 //! Since the persistent-engine redesign the whole table is served by ONE
 //! long-lived `leapfrog::Engine`: every row runs through it twice, and
@@ -26,17 +25,16 @@
 //!
 //! Every run appends one snapshot line (commit, timestamp, scale, cores,
 //! per-row runtimes, registry counters) to `BENCH_history.jsonl` — the
-//! persisted perf trajectory. On multi-core hosts each row additionally
-//! records its cold wall-clock at 1 and at 4 engine worker threads
-//! (`cold_t1_secs` / `cold_t4_secs`, the intra-query parallel axis), so
-//! both parallelism dimensions trend: intra-query here, inter-query in
-//! `fleet_bench`'s snapshots. Tracing is on by default so the emitted
-//! rows carry a per-phase time breakdown (`LEAPFROG_TRACE=0` disables).
+//! persisted perf trajectory. A query always runs on one thread; the
+//! parallel axis is across queries (`batch_parallel_speedup` here,
+//! `fleet_bench`'s snapshots for the daemon). Tracing is on by default
+//! so the emitted rows carry a per-phase time breakdown
+//! (`LEAPFROG_TRACE=0` disables).
 //!
 //! Flags / environment:
 //! * `--smoke` — force the small scale and exit nonzero if any emitted
-//!   row is missing the WP-count / speedup / cache-hit-rate /
-//!   thread-count / cegar-rounds / blocks-validated / session-rebuilds /
+//!   row is missing the WP-count / cache-hit-rate / thread-count /
+//!   cegar-rounds / blocks-validated / session-rebuilds /
 //!   warm-reuse / phase-breakdown fields, if any row makes more than
 //!   twice as many WP calls as it generates preconditions, if no warm
 //!   reuse was observed at all, if `warm_speedup` lands below 1.0 on
@@ -58,8 +56,6 @@
 //!   `cores` so a `null` ratio is readable as "single-core host".
 //! * `LEAPFROG_BENCH_HISTORY=path` — where the trajectory lives (default
 //!   `BENCH_history.jsonl`).
-//! * `LEAPFROG_SKIP_BASELINE=1` — skip the `threads = 1` baseline re-runs
-//!   (speedup reported as `null`); useful for very large scales.
 //! * `LEAPFROG_WITNESS_CORPUS=path` — where the witness regression corpus
 //!   lives (default `WITNESS_CORPUS.txt`).
 //! * `LEAPFROG_SESSION_GC=ratio|0`, `LEAPFROG_SESSION_GC_FLOOR=n` — the
@@ -121,47 +117,17 @@ fn recheck_certificate(
     }
 }
 
-/// Runs a row runner against the persistent engine. Unless disabled, a
-/// `threads = 1` *cold* baseline (its own transient engine) runs first,
-/// reporting the wall-time speedup; on a multi-core host a `threads = 4`
-/// cold run follows, so every row records both points of the intra-query
-/// parallel axis (`cold_t1` / `cold_t4` — ROADMAP item 3's trend). Then
-/// the row is measured through the persistent engine and immediately
-/// re-run warm, filling the warm-reuse columns. The allocator peak is
-/// reset after the baselines and read back *before* the warm pass, so
-/// the returned peak covers the measured run only — on top of the
-/// engine-resident floor (warm sessions, memos and caches from earlier
-/// rows stay live; the Memory column is the serving footprint, not an
-/// isolated per-row cost).
-fn measure(
-    engine: &mut Engine,
-    run: &dyn Fn(&mut Engine) -> RowResult,
-    baseline: bool,
-    cores: usize,
-) -> (RowResult, usize) {
-    let intra = baseline && cores >= 2;
-    let single = if baseline && (intra || engine.config().effective_threads() > 1) {
-        let mut cold = Engine::new(engine.config().clone().threads(1));
-        Some(run(&mut cold).runtime)
-    } else {
-        None
-    };
-    let quad = if intra {
-        let mut cold = Engine::new(engine.config().clone().threads(4));
-        Some(run(&mut cold).runtime)
-    } else {
-        None
-    };
+/// Runs a row runner against the persistent engine: the row is measured
+/// and immediately re-run warm, filling the warm-reuse columns. The
+/// allocator peak is reset before the measured run and read back *before*
+/// the warm pass, so the returned peak covers the measured run only — on
+/// top of the engine-resident floor (warm sessions, memos and caches from
+/// earlier rows stay live; the Memory column is the serving footprint,
+/// not an isolated per-row cost).
+fn measure(engine: &mut Engine, run: &dyn Fn(&mut Engine) -> RowResult) -> (RowResult, usize) {
     ALLOC.reset();
     let mut row = run(engine);
     let peak = ALLOC.peak_bytes();
-    row.speedup = match single {
-        Some(single) => Some(single.as_secs_f64() / row.runtime.as_secs_f64().max(1e-9)),
-        None if engine.config().effective_threads() == 1 => Some(1.0),
-        None => None,
-    };
-    row.cold_t1 = single;
-    row.cold_t4 = quad;
     let warm = run(engine);
     row.absorb_warm(&warm);
     (row, peak)
@@ -175,7 +141,6 @@ fn main() {
     } else {
         Scale::from_env()
     };
-    let baseline = std::env::var("LEAPFROG_SKIP_BASELINE").as_deref() != Ok("1");
     // Tracing is on by default for the table run — the per-phase
     // breakdown is part of the recorded trajectory. `LEAPFROG_TRACE=0`
     // still turns it off (engine construction applies the env).
@@ -203,9 +168,8 @@ fn main() {
     };
 
     println!(
-        "Leapfrog-rs — Table 2 reproduction (scale: {scale:?}, threads: {}, baseline: {}, engine: persistent{})",
+        "Leapfrog-rs — Table 2 reproduction (scale: {scale:?}, batch threads: {}, engine: persistent{})",
         engine.config().effective_threads(),
-        if baseline { "on" } else { "off" },
         if batch_mode { ", batch pre-pass" } else { "" },
     );
 
@@ -280,7 +244,7 @@ fn main() {
     }
 
     println!(
-        "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>8} {:>7} {:>7} {:>8} {:>10}",
+        "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>7} {:>8} {:>10}",
         "Name",
         "States",
         "Branched",
@@ -290,7 +254,6 @@ fn main() {
         "Verified",
         "|R|",
         "Queries",
-        "Speedup",
         "Cache%",
         "Index%",
         "Warm",
@@ -301,7 +264,7 @@ fn main() {
     let mut measured: Vec<(RowResult, Option<usize>)> = Vec::new();
     let mut print_row = |row: RowResult, mem: usize, out: &mut Vec<(RowResult, Option<usize>)>| {
         println!(
-            "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>8} {:>7} {:>7} {:>8} {:>10}",
+            "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>7} {:>8} {:>10}",
             row.name,
             row.metrics.states,
             row.metrics.branched_bits,
@@ -311,9 +274,6 @@ fn main() {
             if row.verified { "yes" } else { "NO" },
             row.relation_size,
             row.queries,
-            row.speedup
-                .map(|s| format!("{s:.2}x"))
-                .unwrap_or_else(|| "-".into()),
             format!("{:.0}%", 100.0 * row.blast_cache_hit_rate),
             format!("{:.0}%", 100.0 * row.index_hit_rate),
             row.warm_speedup
@@ -363,12 +323,7 @@ fn main() {
     let (utility, applicability) = benches.split_at(4);
     for bench in utility {
         exercise_prior(bench, &corpus, &mut failures);
-        let (mut row, mem) = measure(
-            &mut engine,
-            &|e: &mut Engine| run_row_in(e, bench),
-            baseline,
-            cores,
-        );
+        let (mut row, mem) = measure(&mut engine, &|e: &mut Engine| run_row_in(e, bench));
         if let Some(w) = &row.witness {
             corpus.record(&row.name, w);
         }
@@ -379,26 +334,16 @@ fn main() {
     // sloppy/strict pair, so the trust root re-checks their certificates
     // against the same sum automaton.
     let (rel_left, rel_right) = sloppy_strict::sloppy_strict_parsers();
-    let (mut row, mem) = measure(
-        &mut engine,
-        &run_relational_verification_in,
-        baseline,
-        cores,
-    );
+    let (mut row, mem) = measure(&mut engine, &run_relational_verification_in);
     recheck_certificate(&mut row, &rel_left, &rel_right, &mut failures);
     print_row(row, mem, &mut measured);
-    let (mut row, mem) = measure(&mut engine, &run_external_filtering_in, baseline, cores);
+    let (mut row, mem) = measure(&mut engine, &run_external_filtering_in);
     recheck_certificate(&mut row, &rel_left, &rel_right, &mut failures);
     print_row(row, mem, &mut measured);
     // Applicability self-comparisons.
     for bench in applicability {
         exercise_prior(bench, &corpus, &mut failures);
-        let (mut row, mem) = measure(
-            &mut engine,
-            &|e: &mut Engine| run_row_in(e, bench),
-            baseline,
-            cores,
-        );
+        let (mut row, mem) = measure(&mut engine, &|e: &mut Engine| run_row_in(e, bench));
         if let Some(w) = &row.witness {
             corpus.record(&row.name, w);
         }
@@ -407,12 +352,9 @@ fn main() {
     }
     // Translation validation. The pair is rebuilt deterministically so
     // the trust root can restate the sum the certificate talks about.
-    let (mut row, mem) = measure(
-        &mut engine,
-        &|e: &mut Engine| run_translation_validation_in(e, scale),
-        baseline,
-        cores,
-    );
+    let (mut row, mem) = measure(&mut engine, &|e: &mut Engine| {
+        run_translation_validation_in(e, scale)
+    });
     let (edge, _, back, _) = translation_validation_pair(scale);
     recheck_certificate(&mut row, &edge, &back, &mut failures);
     print_row(row, mem, &mut measured);
@@ -598,7 +540,6 @@ fn main() {
     for key in [
         "\"wp_generated\"",
         "\"wp_calls\"",
-        "\"speedup\"",
         "\"blast_cache_hit_rate\"",
         "\"threads\"",
         "\"index_hit_rate\"",
@@ -609,8 +550,6 @@ fn main() {
         "\"peak_live_clauses\"",
         "\"sat_conflicts\"",
         "\"sat_propagations\"",
-        "\"cold_t1_secs\"",
-        "\"cold_t4_secs\"",
         "\"warm_speedup\"",
         "\"sessions_reused\"",
         "\"sum_cache_hits\"",
@@ -647,22 +586,6 @@ fn main() {
             failures.push(format!(
                 "\"{}\": {} WP calls for {} generated preconditions (more than 2x)",
                 r.name, r.wp_calls, r.wp_generated
-            ));
-        }
-    }
-    // The intra-query parallel axis must be *measured* (not just null)
-    // wherever the host can: a multi-core machine with the baseline runs
-    // enabled has no excuse for a missing cold_t1/cold_t4 point.
-    if cores >= 2 && baseline {
-        let unmeasured = measured
-            .iter()
-            .filter(|(r, _)| r.cold_t1.is_none() || r.cold_t4.is_none())
-            .count();
-        if unmeasured > 0 {
-            failures.push(format!(
-                "{unmeasured}/{} rows are missing the cold_t1/cold_t4 intra-query \
-                 measurements despite {cores} core(s)",
-                measured.len()
             ));
         }
     }
@@ -729,9 +652,8 @@ fn main() {
     }
 }
 
-/// One row's trajectory point: name, runtime, warm speedup and the two
-/// cold intra-query-axis wall-clocks, in seconds.
-type RowPoint = (String, f64, Option<f64>, Option<f64>, Option<f64>);
+/// One row's trajectory point: name, runtime in seconds and warm speedup.
+type RowPoint = (String, f64, Option<f64>);
 
 /// One run's entry in the persisted perf trajectory (`BENCH_history.jsonl`).
 struct HistorySnapshot {
@@ -786,15 +708,7 @@ impl HistorySnapshot {
             batch_parallel_speedup,
             rows: measured
                 .iter()
-                .map(|(r, _)| {
-                    (
-                        r.name.clone(),
-                        r.runtime.as_secs_f64(),
-                        r.warm_speedup,
-                        r.cold_t1.map(|d| d.as_secs_f64()),
-                        r.cold_t4.map(|d| d.as_secs_f64()),
-                    )
-                })
+                .map(|(r, _)| (r.name.clone(), r.runtime.as_secs_f64(), r.warm_speedup))
                 .collect(),
         }
     }
@@ -808,13 +722,11 @@ impl HistorySnapshot {
         let rows: Vec<Value> = self
             .rows
             .iter()
-            .map(|(name, secs, warm, cold_t1, cold_t4)| {
+            .map(|(name, secs, warm)| {
                 json::obj(vec![
                     ("name", Value::Str(name.clone())),
                     ("runtime_secs", Value::Num(*secs)),
                     ("warm_speedup", opt(*warm)),
-                    ("cold_t1_secs", opt(*cold_t1)),
-                    ("cold_t4_secs", opt(*cold_t4)),
                 ])
             })
             .collect();

@@ -42,16 +42,14 @@ pub struct RowResult {
     pub wp_calls: u64,
     /// Fraction of queries within 5 s (paper §7.3 reports 99%).
     pub queries_within_5s: f64,
-    /// Worker threads the frontier ran on.
+    /// Threads the query ran on (always 1: a query runs whole on one
+    /// thread).
     pub threads: usize,
     /// Fraction of asserted conjuncts served from the cross-query blast
     /// cache.
     pub blast_cache_hit_rate: f64,
     /// Fraction of linear-scan premise work avoided by the guard index.
     pub index_hit_rate: f64,
-    /// Wall-time speedup versus a `threads = 1` run of the same row
-    /// (`None` when no baseline was measured).
-    pub speedup: Option<f64>,
     /// CEGAR refinement rounds across all solver queries of the run.
     pub cegar_rounds: u64,
     /// `∀`-blocks actually validated against candidate models (the
@@ -68,13 +66,6 @@ pub struct RowResult {
     pub sat_conflicts: u64,
     /// CDCL unit propagations across every SAT solve of the run.
     pub sat_propagations: u64,
-    /// Cold wall-clock of this row on a transient engine pinned to 1
-    /// worker thread — the intra-query parallel axis's baseline point
-    /// (`None` when the host cannot measure it).
-    pub cold_t1: Option<Duration>,
-    /// Cold wall-clock of this row on a transient engine pinned to 4
-    /// worker threads — the intra-query parallel axis's scaled point.
-    pub cold_t4: Option<Duration>,
     /// Wall-time speedup of a warm re-run of this row through the same
     /// engine (`None` until the warm pass is measured).
     pub warm_speedup: Option<f64>,
@@ -292,11 +283,10 @@ pub fn rows_to_json(
              \"wp_calls\": {}, \"queries\": {}, \
              \"queries_within_5s\": {:.4}, \"threads\": {}, \
              \"blast_cache_hit_rate\": {:.4}, \"index_hit_rate\": {:.4}, \
-             \"speedup\": {}, \"cegar_rounds\": {}, \"blocks_validated\": {}, \
+             \"cegar_rounds\": {}, \"blocks_validated\": {}, \
              \"blocks_considered\": {}, \"session_rebuilds\": {}, \
              \"peak_live_clauses\": {}, \"sat_conflicts\": {}, \
-             \"sat_propagations\": {}, \"cold_t1_secs\": {}, \
-             \"cold_t4_secs\": {}, \"warm_speedup\": {}, \
+             \"sat_propagations\": {}, \"warm_speedup\": {}, \
              \"sessions_reused\": {}, \"sum_cache_hits\": {}, \
              \"entailment_memo_hits\": {}, \"certcheck_secs\": {}, \
              \"certcheck_obligations\": {}, \"certcheck_cegar_rounds\": {}, \
@@ -317,9 +307,6 @@ pub fn rows_to_json(
             row.threads,
             row.blast_cache_hit_rate,
             row.index_hit_rate,
-            row.speedup
-                .map(|s| format!("{s:.4}"))
-                .unwrap_or_else(|| "null".into()),
             row.cegar_rounds,
             row.blocks_validated,
             row.blocks_considered,
@@ -327,12 +314,6 @@ pub fn rows_to_json(
             row.peak_live_clauses,
             row.sat_conflicts,
             row.sat_propagations,
-            row.cold_t1
-                .map(|d| format!("{:.6}", d.as_secs_f64()))
-                .unwrap_or_else(|| "null".into()),
-            row.cold_t4
-                .map(|d| format!("{:.6}", d.as_secs_f64()))
-                .unwrap_or_else(|| "null".into()),
             row.warm_speedup
                 .map(|s| format!("{s:.4}"))
                 .unwrap_or_else(|| "null".into()),
@@ -423,7 +404,6 @@ fn finish(
         threads: stats.threads,
         blast_cache_hit_rate: stats.queries.blast_cache_hit_rate(),
         index_hit_rate: stats.index_hit_rate(),
-        speedup: None,
         cegar_rounds: stats.queries.cegar_rounds,
         blocks_validated: stats.queries.blocks_validated,
         blocks_considered: stats.queries.blocks_considered,
@@ -431,8 +411,6 @@ fn finish(
         peak_live_clauses: stats.queries.live_clauses_peak,
         sat_conflicts: stats.queries.sat.conflicts,
         sat_propagations: stats.queries.sat.propagations,
-        cold_t1: None,
-        cold_t4: None,
         warm_speedup: None,
         sessions_reused: stats.sessions_reused,
         sum_cache_hits: stats.sum_cache_hits,
@@ -468,7 +446,7 @@ mod tests {
             cert.contains("\"relation\""),
             "certificate JSON is complete"
         );
-        assert!(row.threads >= 1);
+        assert_eq!(row.threads, 1);
         assert!((0.0..=1.0).contains(&row.blast_cache_hit_rate));
         assert!((0.0..=1.0).contains(&row.index_hit_rate));
     }
@@ -477,10 +455,7 @@ mod tests {
     fn rows_json_carries_pipeline_fields() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
         let mut row = run_row(&bench, Options::default());
-        row.speedup = Some(1.25);
         row.warm_speedup = Some(2.0);
-        row.cold_t1 = Some(Duration::from_millis(500));
-        row.cold_t4 = Some(Duration::from_millis(250));
         row.certcheck_secs = Some(0.125);
         row.certcheck = Some(leapfrog_certcheck::CheckStats {
             obligations: 11,
@@ -510,7 +485,6 @@ mod tests {
             "\"threads\"",
             "\"blast_cache_hit_rate\"",
             "\"index_hit_rate\"",
-            "\"speedup\": 1.2500",
             "\"cegar_rounds\"",
             "\"blocks_validated\"",
             "\"blocks_considered\"",
@@ -518,8 +492,6 @@ mod tests {
             "\"peak_live_clauses\"",
             "\"sat_conflicts\"",
             "\"sat_propagations\"",
-            "\"cold_t1_secs\": 0.500000",
-            "\"cold_t4_secs\": 0.250000",
             "\"warm_speedup\": 2.0000",
             "\"certcheck_secs\": 0.125000",
             "\"certcheck_obligations\": 11",

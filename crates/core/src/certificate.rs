@@ -130,10 +130,10 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertificateError
     // (3) Step closure: for every ρ ∈ R and reachable predecessor pair,
     // ⋀R ⊨ wp(ρ). Only pairs that can step into ρ's guard have a
     // nonvacuous WP; the index yields them in scope order, so obligations
-    // keep the order of a whole-scope sweep. Checked in parallel — the
-    // obligations are independent.
+    // keep the order of a whole-scope sweep, and the first failing one is
+    // the one `leapfrog-certcheck` reports too.
     let preds = PredecessorIndex::new(aut, &scope, cert.leaps);
-    let obligations: Vec<ConfRel> = cert
+    let failure = cert
         .relation
         .iter()
         .flat_map(|rho| {
@@ -142,8 +142,7 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertificateError
                 .iter()
                 .filter_map(|&i| wp(aut, rho, &scope[i], cert.leaps))
         })
-        .collect();
-    let failure = parallel_find_failure(aut, &cert.relation, &obligations);
+        .find(|ob| !entails_stateless(aut, &cert.relation, ob));
     if let Some(bad) = failure {
         return Err(CertificateError::NotClosed(bad.display(aut)));
     }
@@ -157,54 +156,6 @@ pub fn check(aut: &Automaton, cert: &Certificate) -> Result<(), CertificateError
         }
     }
     Ok(())
-}
-
-/// Checks the entailment obligations across worker threads, returning the
-/// *lowest-index* failing obligation (if any). Deterministic: whichever
-/// worker wins the race, the reported failure is the same one a sequential
-/// sweep would find, so error messages are stable across runs and match
-/// the independent `leapfrog-certcheck` checker obligation-for-obligation.
-fn parallel_find_failure(
-    aut: &Automaton,
-    relation: &[ConfRel],
-    obligations: &[ConfRel],
-) -> Option<ConfRel> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    if workers <= 1 || obligations.len() < 4 {
-        return obligations
-            .iter()
-            .find(|ob| !entails_stateless(aut, relation, ob))
-            .cloned();
-    }
-    let failed: std::sync::Mutex<Option<(usize, ConfRel)>> = std::sync::Mutex::new(None);
-    let chunk = obligations.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for (c, part) in obligations.chunks(chunk).enumerate() {
-            let failed = &failed;
-            s.spawn(move || {
-                for (i, ob) in part.iter().enumerate() {
-                    let index = c * chunk + i;
-                    // A recorded failure below our position makes the rest
-                    // of this chunk irrelevant; one at a higher position
-                    // can still be improved on.
-                    if matches!(&*failed.lock().unwrap(), Some((best, _)) if *best < index) {
-                        return;
-                    }
-                    if !entails_stateless(aut, relation, ob) {
-                        let mut slot = failed.lock().unwrap();
-                        if !matches!(&*slot, Some((best, _)) if *best < index) {
-                            *slot = Some((index, ob.clone()));
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    failed.into_inner().unwrap().map(|(_, ob)| ob)
 }
 
 #[cfg(test)]
@@ -293,9 +244,9 @@ mod tests {
 
     #[test]
     fn closure_failure_is_deterministic() {
-        // Two independently-failing bogus conjuncts: whichever worker
-        // races ahead, the reported failure must be the lowest-index
-        // obligation, i.e. the same error every run.
+        // Two independently-failing bogus conjuncts: the reported failure
+        // must be the lowest-index obligation, i.e. the same error every
+        // run.
         let (aut, cert) = certified_pair();
         let guard = cert.query.guard;
         let h = aut.header_by_name("l.h").unwrap();

@@ -5,8 +5,8 @@
 //!
 //! Since the persistent-engine redesign, this module is a *thin wrapper*:
 //! a [`Checker`] owns a transient [`Engine`] and delegates the actual
-//! worklist run to it (see [`crate::engine`] for the algorithm and the
-//! warm-state machinery).
+//! worklist run to it, which runs on the calling thread (see
+//! [`crate::engine`] for the algorithm and the warm-state machinery).
 //! Certificates and witnesses are byte-identical whichever entry point is
 //! used — a one-shot [`check_language_equivalence`], a cold engine, or a
 //! warm engine re-checking a pair it has seen before (asserted in
@@ -25,8 +25,8 @@ use crate::stats::RunStats;
 /// The shape of one query: the four knobs that change *what* is
 /// computed. The defaults enable every optimization described in the
 /// paper; the §7.3 ablation disables them selectively. Everything that
-/// only changes how fast a query runs (threads, caches, session GC, the
-/// SAT policy) lives on [`EngineConfig`]. Reads no environment variable.
+/// only changes how fast queries run (batch threads, caches, session GC,
+/// the SAT policy) lives on [`EngineConfig`]. Reads no environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Options {
     /// Use bisimulations with leaps (§5.2). Disabling falls back to

@@ -9,11 +9,11 @@
 //! *inter*-query scope:
 //!
 //! * the cross-query structural CNF cache ([`SharedBlastCache`]), shared
-//!   by every query, worker thread and session the engine ever runs;
+//!   by every query, batch worker and session the engine ever runs;
 //! * the cross-session instantiation ledger ([`InstLedger`]): `∀`-block
 //!   validation verdicts keyed by canonical block identity and support
-//!   valuation, so sessions sharing a guard shape — across pools, threads
-//!   and queries — never re-solve a validation;
+//!   valuation, so sessions sharing a guard shape — across pools, batch
+//!   workers and queries — never re-solve a validation;
 //! * memoized per-pair artifacts: the disjoint-sum construction, the
 //!   reachable template-pair sets and the in-scope template lists, interned
 //!   by automaton pair ([`Engine::prepare_pair`]);
@@ -22,13 +22,12 @@
 //!   verdicts without touching the solver, and the sessions stay resident
 //!   for any check that diverges.
 //!
-//! [`Engine::check`] answers one language-equivalence query;
-//! [`Engine::check_batch`] schedules many queries over the existing
-//! work-stealing worker pool — parallelism *across* queries rather than
-//! only inside one frontier generation. Results are bit-identical to the
-//! one-shot path: certificates and witnesses do not depend on engine
-//! warmth, thread count, batching, or cache state (asserted in
-//! `tests/engine.rs`).
+//! [`Engine::check`] answers one language-equivalence query on the
+//! calling thread; [`Engine::check_batch`] schedules many queries over
+//! worker threads — parallelism *across* queries, never inside one.
+//! Results are bit-identical to the one-shot path: certificates and
+//! witnesses do not depend on engine warmth, thread count, batching, or
+//! cache state (asserted in `tests/engine.rs`).
 //!
 //! The historical [`Checker`](crate::Checker) and
 //! [`check_language_equivalence`](crate::checker::check_language_equivalence)
@@ -46,7 +45,7 @@
 //! re-solving from cold. Neither knob ever changes results — eviction and
 //! persistence trade wall-clock only (asserted in `tests/serve.rs`).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,7 +62,7 @@ use leapfrog_obs::{trace, Phase};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::sum::{sum, Sum};
 use leapfrog_smt::{
-    CheckResult, InstLedger, QueryStats, SharedBlastCache, SmtSolver, SolverConfig, LBD_BUCKETS,
+    CheckResult, InstLedger, SharedBlastCache, SmtSolver, SolverConfig, LBD_BUCKETS,
 };
 
 use crate::certificate::Certificate;
@@ -112,9 +111,9 @@ pub struct EngineConfig {
     /// and the iteration budget. [`Engine::standard_request`] copies it
     /// into every standard request.
     pub options: Options,
-    /// Worker threads (`0` = available parallelism). Inside one query they
-    /// parallelize frontier generations; across a batch they parallelize
-    /// whole queries. Results are bit-identical at every setting.
+    /// Worker threads [`Engine::check_batch`] runs queries on (`0` =
+    /// available parallelism). One query always runs on the thread that
+    /// asked. Results are bit-identical at every setting.
     pub threads: usize,
     /// Treat an unconfirmed refutation witness as a hard error (panic) for
     /// standard language-equivalence queries, where lifting must succeed.
@@ -213,7 +212,8 @@ impl EngineConfig {
         }
     }
 
-    /// The worker-thread count this configuration resolves to.
+    /// The `check_batch` worker-thread count this configuration resolves
+    /// to.
     pub fn effective_threads(&self) -> usize {
         if self.threads != 0 {
             self.threads
@@ -518,7 +518,7 @@ impl WarmKey {
     }
 }
 
-/// The warm state of one query shape: resident session pools and the
+/// The warm state of one query shape: the resident session pool and the
 /// exact entailment-verdict memo.
 ///
 /// The memo key is `(guard, same-guard premise count, conclusion)`. Within
@@ -529,8 +529,7 @@ impl WarmKey {
 /// decision without a single solver call.
 #[derive(Default)]
 struct WarmState {
-    main_pool: Option<SessionPool>,
-    worker_pools: Vec<SessionPool>,
+    pool: Option<SessionPool>,
     memo: HashMap<MemoKey, bool>,
     runs: u64,
     /// Recency tick for the LRU warm-state eviction policy.
@@ -650,30 +649,6 @@ fn memos_from_json(text: &str) -> Result<SavedWarmMap, String> {
         out.entry((fp, fp2)).or_default().extend(entries);
     }
     Ok(out)
-}
-
-impl WarmState {
-    /// Warm guard sessions currently resident across all pools.
-    fn session_count(&self) -> usize {
-        self.main_pool.as_ref().map(SessionPool::len).unwrap_or(0)
-            + self
-                .worker_pools
-                .iter()
-                .map(SessionPool::len)
-                .sum::<usize>()
-    }
-
-    /// Ensures the main pool exists and at least `threads` worker slots do.
-    fn ensure_pools(&mut self, threads: usize, cfg: &SessionConfig) {
-        if self.main_pool.is_none() {
-            self.main_pool = Some(SessionPool::with_config(cfg.clone()));
-        }
-        let workers = if threads > 1 { threads } else { 0 };
-        while self.worker_pools.len() < workers {
-            self.worker_pools
-                .push(SessionPool::with_config(cfg.clone()));
-        }
-    }
 }
 
 /// The persistent engine. See the module docs for what it keeps warm.
@@ -1232,7 +1207,6 @@ impl Engine {
         let key = WarmKey::of(req);
         self.tick += 1;
         let tick = self.tick;
-        let threads = self.config.effective_threads();
         let pair = self.pair_mut(pid);
         pair.last_used = tick;
         let mut warm = pair.warm.remove(&key).unwrap_or_default();
@@ -1253,7 +1227,6 @@ impl Engine {
             req,
             &mut warm,
             &self.config,
-            threads,
             &self.cache,
             &self.ledger,
             &mut stats,
@@ -1287,7 +1260,7 @@ impl Engine {
     }
 
     /// Applies the [`EngineConfig::warm_capacity`] LRU bound between runs:
-    /// warm query-shape states, resident guard sessions per pool and
+    /// warm query-shape states, resident guard sessions per warm state and
     /// interned pairs are each trimmed to the capacity, least-recently-used
     /// first, and the ledger's own eviction counter is mirrored into the
     /// engine statistics. Eviction only ever discards caches of
@@ -1322,10 +1295,7 @@ impl Engine {
         let mut pruned = 0usize;
         for p in self.pairs.iter_mut().flatten() {
             for w in p.warm.values_mut() {
-                if let Some(pool) = w.main_pool.as_mut() {
-                    pruned += pool.prune_lru(cap);
-                }
-                for pool in &mut w.worker_pools {
+                if let Some(pool) = w.pool.as_mut() {
                     pruned += pool.prune_lru(cap);
                 }
             }
@@ -1358,12 +1328,13 @@ impl Engine {
         }
     }
 
-    /// Answers many language-equivalence queries, scheduling them over the
-    /// work-stealing worker pool: queries on *distinct* pairs run
-    /// concurrently (one worker drains a shared cursor over the pair
-    /// groups), while queries on the *same* pair run back-to-back in one
-    /// group so the later ones hit that pair's warm state. With one
-    /// thread the batch runs sequentially and still reuses everything.
+    /// Answers many language-equivalence queries, scheduling them over
+    /// [`EngineConfig::threads`] worker threads: queries on *distinct*
+    /// pairs run concurrently (each worker drains a shared cursor over the
+    /// pair groups), while queries on the *same* pair run back-to-back in
+    /// one group so the later ones hit that pair's warm state. Each query
+    /// runs whole on one worker. With one thread the batch runs
+    /// sequentially and still reuses everything.
     /// Outcomes are returned in submission order and are bit-identical to
     /// checking each spec individually; each spec's own statistics land in
     /// [`Engine::last_batch_stats`], the merged record in
@@ -1391,8 +1362,8 @@ impl Engine {
         let mut members: Vec<RunStats> = vec![RunStats::default(); specs.len()];
         let mut merged = RunStats::default();
         if threads <= 1 {
-            // Sequential batch: inner per-query parallelism is moot at one
-            // thread, and warm reuse across duplicate specs still applies.
+            // Sequential batch: every query runs on the calling thread,
+            // and warm reuse across duplicate specs still applies.
             for (i, s) in specs.iter().enumerate() {
                 outcomes[i] = Some(self.check(&s.left, s.ql, &s.right, s.qr));
                 members[i] = self.last_run.clone();
@@ -1415,10 +1386,9 @@ impl Engine {
                     None => groups.push((pid, vec![i])),
                 }
             }
-            // Parallel batch: one task per pair group, inner threads = 1 —
-            // the worker pool parallelizes across queries instead of
-            // inside each one. Queries of the same group run back-to-back
-            // on one worker so they hit the group's warm state.
+            // Parallel batch: one task per pair group. Queries of the same
+            // group run back-to-back on one worker so they hit the group's
+            // warm state.
             struct GroupTask {
                 pid: PairId,
                 aut: Automaton,
@@ -1486,7 +1456,6 @@ impl Engine {
                                 &task.req,
                                 &mut task.warm,
                                 config,
-                                1,
                                 cache,
                                 ledger,
                                 &mut stats,
@@ -1556,29 +1525,18 @@ impl Engine {
     }
 }
 
-/// Merges worker/session statistics from the main pool and all worker
-/// slots, in deterministic slot order.
-fn pool_stats(main: &SessionPool, workers: &[SessionPool]) -> QueryStats {
-    let mut out = main.stats();
-    for w in workers {
-        out.absorb(&w.stats());
-    }
-    out
-}
-
-/// Algorithm 1 over engine-owned resources: the guard-indexed worklist
-/// with the work-stealing parallel frontier (see `core::checker`'s module
-/// docs for the algorithm), plus the warm-state fast paths:
+/// Algorithm 1 over engine-owned resources, on the calling thread: the
+/// guard-indexed worklist, processed one frontier generation at a time,
+/// plus the warm-state fast paths:
 ///
-/// * every merged entailment verdict is recorded in the warm state's memo
-///   and replayed on later runs of the same query shape;
-/// * session pools persist across runs, so premise clauses, learnt CDCL
-///   state and CEGAR instantiations carry over whenever a check misses
-///   the memo.
+/// * every entailment verdict is recorded in the warm state's memo and
+///   replayed on later runs of the same query shape;
+/// * the session pool persists across runs, so premise clauses, learnt
+///   CDCL state and CEGAR instantiations carry over whenever a check
+///   misses the memo.
 ///
 /// The query's shape comes from `req`; every engine knob comes from
-/// `config`, except the worker count, which the caller resolves
-/// (`check_batch` runs each member on one thread).
+/// `config`.
 #[allow(clippy::too_many_arguments)]
 fn run_worklist(
     aut: &Automaton,
@@ -1586,7 +1544,6 @@ fn run_worklist(
     req: &QueryRequest,
     warm: &mut WarmState,
     config: &EngineConfig,
-    threads: usize,
     cache: &SharedBlastCache,
     ledger: &InstLedger,
     stats: &mut RunStats,
@@ -1595,20 +1552,19 @@ fn run_worklist(
     let opts = &req.options;
     let mut solver = SmtSolver::with_shared_cache(cache.clone(), config.solver_config());
     stats.scope_pairs = scope.pairs.len();
-    stats.threads = threads;
-    stats.sessions_reused = warm.session_count() as u64;
+    stats.threads = 1;
     warm.runs += 1;
 
-    let session_cfg = SessionConfig {
-        gc_ratio: config.session_gc_ratio,
-        gc_floor: config.session_gc_floor,
-        ledger: Some(ledger.clone()),
-        sat: config.solver_config(),
-    };
-    warm.ensure_pools(threads, &session_cfg);
-    let mut main_pool = warm.main_pool.take().expect("ensured above");
-    let mut worker_pools = std::mem::take(&mut warm.worker_pools);
-    let session_base = pool_stats(&main_pool, &worker_pools);
+    let mut pool = warm.pool.take().unwrap_or_else(|| {
+        SessionPool::with_config(SessionConfig {
+            gc_ratio: config.session_gc_ratio,
+            gc_floor: config.session_gc_floor,
+            ledger: Some(ledger.clone()),
+            sat: config.solver_config(),
+        })
+    });
+    stats.sessions_reused = pool.len() as u64;
+    let session_base = pool.stats();
 
     // Initial relation I (Lemma 4.10 / Theorem 5.2): forbid pairs that
     // disagree on acceptance, restricted to the scope; plus any
@@ -1620,7 +1576,7 @@ fn run_worklist(
     // wp chain back to the violated initial conjunct.
     // The provenance table, the dedup map and the relation store share
     // each relation via `Arc`, so a relation is deep-stored exactly
-    // once however many structures (or threads) reference it.
+    // once however many structures reference it.
     let mut frontier: VecDeque<usize> = VecDeque::new();
     let mut prov: Vec<(Arc<ConfRel>, Option<usize>)> = Vec::new();
     let mut seen: HashMap<Arc<ConfRel>, usize> = HashMap::new();
@@ -1653,11 +1609,10 @@ fn run_worklist(
         ($relation_len:expr) => {{
             stats.wall_time = start.elapsed();
             let mut queries = solver.stats().clone();
-            queries.absorb(&pool_stats(&main_pool, &worker_pools).delta_since(&session_base));
+            queries.absorb(&pool.stats().delta_since(&session_base));
             stats.queries = queries;
             stats.extended = $relation_len as u64;
-            warm.main_pool = Some(main_pool);
-            warm.worker_pools = worker_pools;
+            warm.pool = Some(pool);
         }};
     }
 
@@ -1684,8 +1639,7 @@ fn run_worklist(
     let mut generation: u64 = 0;
     loop {
         // One frontier generation per round: everything currently
-        // queued was derived before any of it is processed, so the
-        // entailment checks against the current `R` are independent.
+        // queued, in frontier order.
         batch.clear();
         batch.extend(frontier.drain(..));
         if batch.is_empty() {
@@ -1694,30 +1648,7 @@ fn run_worklist(
         let _generation_span = trace::span_indexed(Phase::Generation, generation);
         generation += 1;
 
-        // Warm probe: when the memo can replay the entire generation
-        // (simulating the merge-time premise counts), skip the parallel
-        // precompute — no solver contact at all for this generation.
-        let memo_covered = memo_covers_generation(warm, &relation, &batch, &prov);
-
-        // Parallel phase: precompute `⋀R ⊨ ψ` for the whole generation
-        // against the immutable snapshot of the store.
-        let verdicts: Vec<Option<bool>> = if threads > 1 && batch.len() > 1 && !memo_covered {
-            let items: Vec<Arc<ConfRel>> = batch.iter().map(|&id| prov[id].0.clone()).collect();
-            let verdicts =
-                parallel_entailment(aut, &relation, &items, &mut worker_pools[..threads], cache);
-            stats.parallel_batches += 1;
-            stats.parallel_checks += items.len() as u64;
-            verdicts.into_iter().map(Some).collect()
-        } else {
-            vec![None; batch.len()]
-        };
-
-        // Deterministic merge: replay the generation in frontier
-        // order. `grew` tracks guards that gained a relation after the
-        // snapshot — only those can invalidate a "not entailed"
-        // verdict ("entailed" is monotone under growing `R`).
-        let mut grew: HashSet<TemplatePair> = HashSet::new();
-        for (bi, &id) in batch.iter().enumerate() {
+        for &id in &batch {
             let psi = prov[id].0.clone();
             stats.iterations += 1;
             if let Some(limit) = opts.max_iterations {
@@ -1744,16 +1675,7 @@ fn run_worklist(
                     v
                 }
                 None => {
-                    let v = match verdicts[bi] {
-                        Some(true) => true,
-                        Some(false) if !grew.contains(&psi.guard) => false,
-                        precomputed => {
-                            if precomputed.is_some() {
-                                stats.merge_rechecks += 1;
-                            }
-                            main_pool.check(aut, &relation.matching(psi.guard), &psi, cache)
-                        }
-                    };
+                    let v = pool.check(aut, &relation.matching(psi.guard), &psi, cache);
                     warm.memo.insert(memo_key, v);
                     v
                 }
@@ -1786,7 +1708,6 @@ fn run_worklist(
                     }
                 }
             }
-            grew.insert(psi.guard);
             relation.push(psi);
         }
     }
@@ -1817,34 +1738,6 @@ fn run_worklist(
     })
 }
 
-/// Whether the warm memo can replay every verdict of one frontier
-/// generation. Simulates the merge's same-guard premise counts (a "not
-/// entailed" verdict grows the guard's slice) without touching the store.
-fn memo_covers_generation(
-    warm: &WarmState,
-    relation: &RelationStore,
-    batch: &[usize],
-    prov: &[(Arc<ConfRel>, Option<usize>)],
-) -> bool {
-    if warm.memo.is_empty() {
-        return false;
-    }
-    let mut extra: HashMap<TemplatePair, usize> = HashMap::new();
-    for &id in batch {
-        let psi = &prov[id].0;
-        let count =
-            relation.matching_count(psi.guard) + extra.get(&psi.guard).copied().unwrap_or(0);
-        match warm.memo.get(&(psi.guard, count, psi.clone())) {
-            None => return false,
-            Some(true) => {}
-            Some(false) => {
-                *extra.entry(psi.guard).or_insert(0) += 1;
-            }
-        }
-    }
-    true
-}
-
 /// Checks `φ ⊨ ρ`; on failure lifts the countermodel into a concrete,
 /// confirmed, minimized witness via the counterexample engine. `id`
 /// indexes `prov`, whose parent links trace ρ back through the wp
@@ -1853,7 +1746,7 @@ fn memo_covers_generation(
 ///
 /// Runs on the per-query one-shot solver (not the warm sessions), so the
 /// extracted countermodel — and therefore the witness — is independent of
-/// engine warmth, session history and thread count.
+/// engine warmth and session history.
 ///
 /// # Panics
 ///
@@ -1905,51 +1798,6 @@ fn query_violation(
             Some(refutation)
         }
     }
-}
-
-/// Precomputes the entailment verdicts of one frontier generation on
-/// worker threads against an immutable snapshot of the relation store.
-///
-/// Scheduling is *work-stealing*: instead of pre-cutting the batch into
-/// fixed per-worker chunks (which loses wall-clock whenever one chunk
-/// holds the generation's long-tail entailments), every worker drains a
-/// shared atomic cursor over the snapshot batch — an idle worker simply
-/// claims the next unprocessed item, so the generation finishes when the
-/// last *item* does, not when the unluckiest *chunk* does.
-///
-/// Each worker slot keeps a persistent [`SessionPool`] across batches —
-/// and, under an engine, across whole queries — (premise clauses assert
-/// once per slot for the run's lifetime) and all slots share the engine's
-/// blast cache. Verdicts are exact, so the item-to-worker assignment never
-/// affects results — only wall-clock time — and the sequential merge stays
-/// deterministic.
-fn parallel_entailment(
-    aut: &Automaton,
-    relation: &RelationStore,
-    items: &[Arc<ConfRel>],
-    worker_pools: &mut [SessionPool],
-    cache: &SharedBlastCache,
-) -> Vec<bool> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    let n = items.len();
-    let cursor = AtomicUsize::new(0);
-    let verdicts: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    std::thread::scope(|s| {
-        for pool in worker_pools.iter_mut() {
-            let cursor = &cursor;
-            let verdicts = &verdicts;
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let psi = &items[i];
-                let v = pool.check(aut, &relation.matching(psi.guard), psi, cache);
-                verdicts[i].store(v, Ordering::Relaxed);
-            });
-        }
-    });
-    verdicts.into_iter().map(AtomicBool::into_inner).collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Run statistics: what Table 2 of the paper reports per case study,
 //! plus solver-level counters (§7.3's SMT latency discussion) and the
-//! pipeline counters of the guard-indexed, parallel frontier.
+//! pipeline counters of the guard-indexed frontier. Every query runs on
+//! one thread, so the work counters are the same at any
+//! [`EngineConfig::threads`](crate::EngineConfig::threads) setting.
 
 use std::time::Duration;
 
@@ -34,15 +36,9 @@ pub struct RunStats {
     pub witnesses_unconfirmed: u64,
     /// Packet bits removed by witness minimization (delta debugging).
     pub witness_bits_minimized: u64,
-    /// Worker threads the frontier batches ran on (1 = sequential).
+    /// Threads the query ran on: always 1, since a query runs whole on
+    /// one thread (0 only in a record that absorbed no run).
     pub threads: usize,
-    /// Frontier generations whose entailment checks ran on worker threads.
-    pub parallel_batches: u64,
-    /// Entailment verdicts precomputed on worker threads.
-    pub parallel_checks: u64,
-    /// Precomputed verdicts invalidated during the deterministic merge
-    /// because a same-guard relation joined `R` after the snapshot.
-    pub merge_rechecks: u64,
     /// Total `Skip`-rule entailment decisions taken.
     pub entailment_checks: u64,
     /// Premises fetched through the guard index, summed over all checks —
@@ -66,7 +62,8 @@ pub struct RunStats {
     pub reach_cache_hits: u64,
     /// Total wall-clock time of the run.
     pub wall_time: Duration,
-    /// SMT query statistics (main solver plus absorbed worker solvers).
+    /// SMT query statistics (the per-query solver plus the run's share of
+    /// the guard sessions).
     pub queries: QueryStats,
     /// Per-phase time breakdown from the span tracer. Empty unless
     /// tracing is enabled (`LEAPFROG_TRACE=1`); purely observational —
@@ -85,7 +82,7 @@ impl RunStats {
     }
 
     /// Guard-session context rebuilds performed by the clause-budget GC
-    /// across all session pools (main loop plus worker slots).
+    /// in the query's session pool.
     pub fn session_rebuilds(&self) -> u64 {
         self.queries.session_rebuilds
     }
@@ -121,9 +118,6 @@ impl RunStats {
         self.witnesses_unconfirmed += other.witnesses_unconfirmed;
         self.witness_bits_minimized += other.witness_bits_minimized;
         self.threads = self.threads.max(other.threads);
-        self.parallel_batches += other.parallel_batches;
-        self.parallel_checks += other.parallel_checks;
-        self.merge_rechecks += other.merge_rechecks;
         self.entailment_checks += other.entailment_checks;
         self.premises_matched += other.premises_matched;
         self.premises_total += other.premises_total;

@@ -35,9 +35,8 @@
 //!
 //! Verdicts are exact booleans (the CEGAR loop validates any candidate
 //! model against the *true* `∀`-premises), so sessions are freely mixed
-//! with the one-shot pipeline and across worker threads — and GC may fire
-//! at any point — without affecting results, only wall-clock time and
-//! memory.
+//! with the one-shot pipeline — and GC may fire at any point — without
+//! affecting results, only wall-clock time and memory.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -413,11 +412,10 @@ impl GuardSession {
     }
 }
 
-/// A per-thread map of guard sessions plus merged statistics, used by the
-/// checker for its main loop and for each persistent worker slot. An
-/// engine keeps pools warm across queries: the sessions (premise clauses,
-/// learnt CDCL state, CEGAR instantiations) survive from one check of a
-/// parser pair to the next.
+/// A map of guard sessions plus merged statistics, used by the checker's
+/// worklist loop (one pool per query shape). An engine keeps pools warm
+/// across queries: the sessions (premise clauses, learnt CDCL state, CEGAR
+/// instantiations) survive from one check of a parser pair to the next.
 #[derive(Default)]
 pub struct SessionPool {
     sessions: HashMap<TemplatePair, GuardSession>,

@@ -23,7 +23,7 @@
 //!   discharged through [`leapfrog_smt`];
 //! * [`mod@store`] — the guard-indexed [`RelationStore`]: stage-1 template
 //!   filtering as an index lookup instead of a per-query O(|R|) scan, with
-//!   `Arc`-shared entries for the parallel frontier.
+//!   `Arc`-shared entries.
 
 pub mod confrel;
 pub mod incremental;

@@ -12,8 +12,7 @@
 //! historical behaviour) *and* indexed by [`TemplatePair`] guard, so the
 //! premise set for an entailment check is fetched in O(matching). Entries
 //! are `Arc`-shared: the provenance table, the dedup map, and the store
-//! reference the same allocation, and the store can be borrowed immutably
-//! by worker threads during a parallel frontier batch.
+//! reference the same allocation.
 
 use std::collections::HashMap;
 use std::sync::Arc;

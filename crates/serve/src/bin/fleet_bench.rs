@@ -22,8 +22,9 @@
 //!
 //! Each run appends one snapshot line (commit-less; `kind: "fleet"`) to
 //! `LEAPFROG_BENCH_HISTORY` (default `BENCH_history.jsonl`) with the
-//! per-worker-count wall-clocks and the speedup, so the inter-query
-//! parallel axis trends alongside `table2`'s intra-query one. The line
+//! per-worker-count wall-clocks and the speedup, so the daemon's
+//! inter-query parallel axis trends alongside `table2`'s
+//! `batch_parallel_speedup`. The line
 //! deliberately omits `batch_mode`, so `table2`'s rolling-baseline gate
 //! never mistakes a fleet snapshot for one of its own.
 //!

@@ -58,7 +58,10 @@
 //! sent their SAT racing counters as a `queries.portfolio` object; SAT
 //! racing is gone, so encoders no longer write it and decoders ignore it
 //! when present — a stats frame from such a peer decodes to the same
-//! `RunStats`.
+//! `RunStats`. Likewise, older peers sent the intra-query parallel
+//! frontier's `parallel_batches`, `parallel_checks` and `merge_rechecks`
+//! counters; every query now runs on one thread, so those keys are no
+//! longer written and are ignored when present.
 //!
 //! `metrics` and `slow_log` are answered by the connection thread
 //! directly from the process-global registry/trace collector — they
@@ -960,9 +963,6 @@ pub fn run_stats_to_value(s: &RunStats) -> Value {
             json::num(s.witness_bits_minimized as usize),
         ),
         ("threads", json::num(s.threads)),
-        ("parallel_batches", json::num(s.parallel_batches as usize)),
-        ("parallel_checks", json::num(s.parallel_checks as usize)),
-        ("merge_rechecks", json::num(s.merge_rechecks as usize)),
         ("entailment_checks", json::num(s.entailment_checks as usize)),
         ("premises_matched", json::num(s.premises_matched as usize)),
         ("premises_total", json::num(s.premises_total as usize)),
@@ -1004,9 +1004,6 @@ pub fn run_stats_from_value(v: &Value) -> Result<RunStats, String> {
         witnesses_unconfirmed: n("witnesses_unconfirmed")?,
         witness_bits_minimized: n("witness_bits_minimized")?,
         threads: us("threads")?,
-        parallel_batches: n("parallel_batches")?,
-        parallel_checks: n("parallel_checks")?,
-        merge_rechecks: n("merge_rechecks")?,
         entailment_checks: n("entailment_checks")?,
         premises_matched: n("premises_matched")?,
         premises_total: n("premises_total")?,

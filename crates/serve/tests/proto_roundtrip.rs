@@ -230,9 +230,6 @@ fn run_stats_roundtrip_randomized() {
             witnesses_unconfirmed: next() % 2,
             witness_bits_minimized: next() % 4_096,
             threads: 1 + (next() % 16) as usize,
-            parallel_batches: next() % 100,
-            parallel_checks: next() % 10_000,
-            merge_rechecks: next() % 100,
             entailment_checks: next() % 10_000,
             premises_matched: next() % 1_000_000,
             premises_total: next() % 10_000_000,
@@ -393,8 +390,10 @@ fn run_stats_without_wp_calls_decode_as_zero() {
 fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     // Peers that raced SAT solver lanes nested their racing counters
     // (lane count, race/solo counts, an 8-lane win histogram, per-lane
-    // solver counters) under `queries`, right after `queries.sat`. Such a
-    // frame must decode to the same `RunStats` as the frame without it.
+    // solver counters) under `queries`, right after `queries.sat`, and
+    // peers with an intra-query parallel frontier wrote three more
+    // counters right after `threads`. Such a frame must decode to the
+    // same `RunStats` as the frame without them.
     let stats = RunStats {
         iterations: 7,
         entailment_checks: 5,
@@ -432,8 +431,22 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
         }
         other => panic!("queries is not an object: {}", other.render()),
     }
+    // The keys those peers wrote beside `threads`.
+    let frontier_keys = ["parallel_batches", "parallel_checks", "merge_rechecks"];
+    match &mut v {
+        json::Value::Obj(fields) => {
+            let after_threads = fields.iter().position(|(k, _)| k == "threads").unwrap() + 1;
+            for (i, k) in frontier_keys.iter().enumerate() {
+                fields.insert(after_threads + i, (k.to_string(), json::num(3 + i)));
+            }
+        }
+        other => panic!("stats is not an object: {}", other.render()),
+    }
     let older = v.render();
     assert!(older.contains(&format!("\"{key}\": {{")), "{older}");
+    for k in frontier_keys {
+        assert!(older.contains(&format!("\"{k}\": ")), "{older}");
+    }
     let decoded = run_stats_from_value(&json::parse(&older).expect("frame parses"))
         .expect("a frame with racing counters decodes");
     assert_eq!(run_stats_to_value(&decoded).render(), current);

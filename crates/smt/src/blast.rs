@@ -323,8 +323,8 @@ impl BlastContext {
     /// formula's CNF template is computed at most once per structural key
     /// for the cache's whole lifetime and replayed here with fresh
     /// auxiliary variables. Returns `(still_satisfiable, cache_hit)`.
-    /// When the cache is disabled (`LEAPFROG_NO_BLAST_CACHE=1` at cache
-    /// construction), this degrades to a direct uncached assert.
+    /// When the cache is disabled ([`SharedBlastCache::with_enabled`]
+    /// with `false`), this degrades to a direct uncached assert.
     pub fn assert_formula_cached(
         &mut self,
         decls: &Declarations,
@@ -577,19 +577,14 @@ pub struct CacheStats {
 /// A structural CNF cache shared across queries — and across worker
 /// threads — behind an `Arc<Mutex<…>>`. Templates are pure functions of
 /// the canonical key, so concurrent duplicate builds are harmless (last
-/// insert wins, both are identical). `LEAPFROG_NO_BLAST_CACHE=1` at
-/// construction disables it — every cached assert degrades to a direct
-/// one — as an ablation knob; results are identical either way.
-#[derive(Debug, Clone)]
+/// insert wins, both are identical). A cache built with
+/// [`SharedBlastCache::with_enabled`]`(false)` is disabled — every cached
+/// assert degrades to a direct one — as an ablation knob; results are
+/// identical either way.
+#[derive(Debug, Clone, Default)]
 pub struct SharedBlastCache {
     inner: Arc<Mutex<CacheInner>>,
     disabled: bool,
-}
-
-impl Default for SharedBlastCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[derive(Debug, Default)]
@@ -598,16 +593,14 @@ struct CacheInner {
 }
 
 impl SharedBlastCache {
-    /// Creates an empty cache, honouring `LEAPFROG_NO_BLAST_CACHE` (read
-    /// once, here).
+    /// Creates an empty, enabled cache.
     pub fn new() -> Self {
-        Self::with_enabled(std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1"))
+        Self::default()
     }
 
-    /// Creates an empty cache with caching explicitly on or off,
-    /// independent of the environment — the typed configuration path
-    /// (`EngineConfig::blast_cache`) uses this; [`SharedBlastCache::new`]
-    /// remains the env-compat constructor.
+    /// Creates an empty cache with caching explicitly on or off — the
+    /// engine builds its cache from `EngineConfig::blast_cache` this way,
+    /// and it is the only way to turn caching off.
     pub fn with_enabled(enabled: bool) -> Self {
         SharedBlastCache {
             inner: Arc::default(),
@@ -644,9 +637,8 @@ impl SharedBlastCache {
         }
     }
 
-    /// Whether `LEAPFROG_NO_BLAST_CACHE=1` disabled this cache at
-    /// construction — hit-rate assertions are vacuous then (the ablation
-    /// CI job runs the whole suite with the cache off).
+    /// Whether this cache was built disabled
+    /// ([`SharedBlastCache::with_enabled`] with `false`).
     pub fn is_disabled(&self) -> bool {
         self.disabled
     }
@@ -967,10 +959,8 @@ mod tests {
             let (ok1, hit1) = ctx.assert_formula_cached(&d, &f1, &cache);
             let (ok2, hit2) = ctx.assert_formula_cached(&d, &f2, &cache);
             assert!(ok1 && ok2);
-            if !cache.is_disabled() {
-                assert_eq!(hit1, round > 0, "first round misses, later rounds hit");
-                assert_eq!(hit2, round > 0);
-            }
+            assert_eq!(hit1, round > 0, "first round misses, later rounds hit");
+            assert_eq!(hit2, round > 0);
             for hit in [hit1, hit2] {
                 if hit {
                     hits += 1;
@@ -982,11 +972,9 @@ mod tests {
             assert_eq!(m.get(x), m.get(y));
             assert_ne!(m.get(x), Some(&bv("010")));
         }
-        if !cache.is_disabled() {
-            assert_eq!(misses, 2);
-            assert_eq!(hits, 4);
-            assert_eq!(cache.stats().entries, 2);
-        }
+        assert_eq!(misses, 2);
+        assert_eq!(hits, 4);
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
@@ -1020,9 +1008,7 @@ mod tests {
         let (_, h2) =
             ctx.assert_formula_cached(&d, &Formula::eq(Term::var(y), Term::lit(bv("10"))), &cache);
         assert!(!h1);
-        if !cache.is_disabled() {
-            assert!(h2, "renamed formula must reuse the template");
-        }
+        assert!(h2, "renamed formula must reuse the template");
         let m = ctx.solve(&d).expect("sat");
         assert_eq!(m.get(x), Some(&bv("10")));
         assert_eq!(m.get(y), Some(&bv("10")));

@@ -214,8 +214,7 @@ impl SmtSolver {
     }
 
     /// Checks validity of `f` (all free variables universally quantified).
-    /// `LEAPFROG_NO_BLAST_CACHE=1` (read once, when the solver's shared
-    /// cache is constructed) bypasses the cross-query blast cache — an
+    /// A disabled shared cache bypasses the cross-query blast cache — an
     /// ablation knob; results are identical either way.
     pub fn check_valid(&mut self, decls: &Declarations, f: &Formula) -> CheckResult {
         let start = Instant::now();
@@ -1438,9 +1437,6 @@ mod tests {
         for _ in 0..4 {
             assert!(matches!(s.check_valid(&d, &f), CheckResult::Valid));
         }
-        if s.shared_cache().is_disabled() {
-            return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.
-        }
         let stats = s.stats().clone();
         assert!(stats.blast_cache_hits > 0, "{stats:?}");
         assert!(stats.blast_cache_misses > 0, "{stats:?}");
@@ -1456,9 +1452,6 @@ mod tests {
         assert!(matches!(s1.check_valid(&d, &f), CheckResult::Invalid(_)));
         let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache(), SolverConfig::default());
         assert!(matches!(s2.check_valid(&d, &f), CheckResult::Invalid(_)));
-        if s2.shared_cache().is_disabled() {
-            return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.
-        }
         assert_eq!(s2.stats().blast_cache_misses, 0, "{:?}", s2.stats());
         assert!(s2.stats().blast_cache_hits > 0);
     }

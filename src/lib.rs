@@ -53,7 +53,7 @@
 //!
 //! | Env var | `EngineConfig` field |
 //! |---|---|
-//! | `LEAPFROG_THREADS` | `threads(n)` (`0` = auto) |
+//! | `LEAPFROG_THREADS` | `threads(n)`: `check_batch` workers (`0` = auto) |
 //! | `LEAPFROG_SESSION_GC` | `session_gc_ratio(Some(r))` (`None` = off) |
 //! | `LEAPFROG_SESSION_GC_FLOOR` | `session_gc_floor(n)` |
 //! | `LEAPFROG_STRICT_WITNESS` | `strict_witness(true)` |
@@ -61,9 +61,8 @@
 //! | `LEAPFROG_SAT_LBD` | `sat_lbd(false)` when `0` |
 //! | `LEAPFROG_WARM_CAP` | `warm_capacity(n)` (`0` = unbounded) |
 //!
-//! `LEAPFROG_SCALE`, `LEAPFROG_WITNESS_CORPUS` and
-//! `LEAPFROG_SKIP_BASELINE` configure the evaluation *harness* (suite /
-//! bench), not the engine; `LEAPFROG_DUMP_SMT` remains an smt-layer
+//! `LEAPFROG_SCALE` and `LEAPFROG_WITNESS_CORPUS` configure the
+//! evaluation *harness* (suite / bench), not the engine; `LEAPFROG_DUMP_SMT` remains an smt-layer
 //! debugging knob. The authoritative knob-by-knob table (defaults,
 //! layer, config field) is in `docs/ARCHITECTURE.md`.
 //!

@@ -283,12 +283,9 @@ fn blast_cache_setting_reaches_the_engine() {
     // The engine honours the blast-cache setting from typed config alone.
     let engine = EngineConfig::new().blast_cache(false).build();
     assert!(engine.shared_cache().is_disabled());
+    // With pure defaults the cache is enabled, whatever the environment.
     let engine = EngineConfig::new().build();
-    // With pure defaults the cache is enabled regardless of environment —
-    // unless the ablation env var is set for this whole test process.
-    if std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1") {
-        assert!(!engine.shared_cache().is_disabled());
-    }
+    assert!(!engine.shared_cache().is_disabled());
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! Integration tests for the guard-indexed, parallel entailment pipeline:
-//! bit-identical results at every thread count, index-vs-linear-scan
-//! agreement, cross-query blast-cache correctness, and the witness
-//! regression corpus loop.
+//! Integration tests for the guard-indexed entailment pipeline:
+//! bit-identical results and work counters at every thread count,
+//! index-vs-linear-scan agreement, cross-query blast-cache correctness,
+//! and the witness regression corpus loop.
 
-use leapfrog::{Checker, EngineConfig, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Options, Outcome, RunStats};
 use leapfrog_logic::lower::{entails_filtered, entails_stateless, lower, lower_filtered};
 use leapfrog_logic::store::RelationStore;
 use leapfrog_p4a::ast::{Automaton, StateId};
@@ -18,6 +18,28 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// An engine configuration from the environment, pinned to `threads`.
 fn config(threads: usize) -> EngineConfig {
     EngineConfig::from_env().threads(threads)
+}
+
+/// The deterministic work counters of a run: iterations, entailment
+/// checks, WP calls and generated WPs; SMT queries, CEGAR rounds, blocks
+/// validated and ledger hits; SAT decisions, propagations and conflicts.
+/// A query runs on one thread, so none of them may depend on the thread
+/// count.
+fn work_counters(stats: &RunStats) -> [u64; 11] {
+    let q = &stats.queries;
+    [
+        stats.iterations,
+        stats.entailment_checks,
+        stats.wp_calls,
+        stats.wp_generated,
+        q.queries,
+        q.cegar_rounds,
+        q.blocks_validated,
+        q.inst_ledger_hits,
+        q.sat.decisions,
+        q.sat.propagations,
+        q.sat.conflicts,
+    ]
 }
 
 /// The equivalent seed pairs: the utility case studies plus two surface
@@ -58,17 +80,23 @@ fn equivalent_pairs() -> Vec<(&'static str, Automaton, StateId, Automaton, State
 fn certificates_are_byte_identical_across_thread_counts() {
     for (name, left, ql, right, qr) in equivalent_pairs() {
         let mut jsons = Vec::new();
+        let mut counters = Vec::new();
         for threads in THREAD_COUNTS {
             let mut checker = Checker::with_config(&left, ql, &right, qr, config(threads));
             match checker.run() {
                 Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
                 other => panic!("{name}: expected Equivalent at threads={threads}, got {other:?}"),
             }
-            assert_eq!(checker.stats().threads, threads.max(1));
+            assert_eq!(checker.stats().threads, 1);
+            counters.push(work_counters(checker.stats()));
         }
         assert!(
             jsons.windows(2).all(|w| w[0] == w[1]),
             "{name}: certificate JSON differs across thread counts"
+        );
+        assert!(
+            counters.windows(2).all(|w| w[0] == w[1]),
+            "{name}: work counters differ across thread counts {THREAD_COUNTS:?}: {counters:?}"
         );
     }
 }
@@ -96,6 +124,7 @@ fn witnesses_are_byte_identical_across_thread_counts() {
     ];
     for (name, left, ql, right, qr) in pairs {
         let mut rendered = Vec::new();
+        let mut counters = Vec::new();
         for threads in THREAD_COUNTS {
             let mut checker = Checker::with_config(left, ql, right, qr, config(threads));
             match checker.run() {
@@ -110,10 +139,15 @@ fn witnesses_are_byte_identical_across_thread_counts() {
                     panic!("{name}: expected NotEquivalent at threads={threads}, got {other:?}")
                 }
             }
+            counters.push(work_counters(checker.stats()));
         }
         assert!(
             rendered.windows(2).all(|w| w[0] == w[1]),
             "{name}: witness rendering differs across thread counts:\n{rendered:?}"
+        );
+        assert!(
+            counters.windows(2).all(|w| w[0] == w[1]),
+            "{name}: work counters differ across thread counts {THREAD_COUNTS:?}: {counters:?}"
         );
     }
 }
@@ -383,9 +417,6 @@ fn blast_cache_consistency_against_stateless_solver() {
         );
         assert_eq!(with_cache, stateless);
         assert!(with_cache);
-    }
-    if cached.shared_cache().is_disabled() {
-        return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.
     }
     let stats = cached.stats();
     assert!(
