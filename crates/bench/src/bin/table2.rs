@@ -1,8 +1,8 @@
 //! Regenerates Table 2 of the paper: every case-study row with States /
 //! Branched bits / Total bits / Runtime / Memory, plus the §7.3 SMT
 //! latency summary, the §7.1 sanity check on inequivalent parsers, and —
-//! since the guard-indexed pipeline landed — the per-row thread count,
-//! blast-cache hit rate and guard-index hit rate.
+//! since the guard-indexed pipeline landed — the per-row guard-index hit
+//! rate.
 //!
 //! Since the persistent-engine redesign the whole table is served by ONE
 //! long-lived `leapfrog::Engine`: every row runs through it twice, and
@@ -33,7 +33,7 @@
 //!
 //! Flags / environment:
 //! * `--smoke` — force the small scale and exit nonzero if any emitted
-//!   row is missing the WP-count / cache-hit-rate / thread-count /
+//!   row is missing the WP-count / index-hit-rate /
 //!   cegar-rounds / blocks-validated / session-rebuilds /
 //!   warm-reuse / phase-breakdown fields, if any row makes more than
 //!   twice as many WP calls as it generates preconditions, if no warm
@@ -58,9 +58,6 @@
 //!   `BENCH_history.jsonl`).
 //! * `LEAPFROG_WITNESS_CORPUS=path` — where the witness regression corpus
 //!   lives (default `WITNESS_CORPUS.txt`).
-//! * `LEAPFROG_SESSION_GC=ratio|0`, `LEAPFROG_SESSION_GC_FLOOR=n` — the
-//!   guard sessions' clause-budget GC (results are identical, only
-//!   memory/time change).
 
 use leapfrog::json::{self, Value};
 use leapfrog::{Engine, EngineConfig, Outcome, QuerySpec};
@@ -244,7 +241,7 @@ fn main() {
     }
 
     println!(
-        "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>7} {:>8} {:>10}",
+        "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>8} {:>10}",
         "Name",
         "States",
         "Branched",
@@ -254,7 +251,6 @@ fn main() {
         "Verified",
         "|R|",
         "Queries",
-        "Cache%",
         "Index%",
         "Warm",
         "Recheck"
@@ -264,7 +260,7 @@ fn main() {
     let mut measured: Vec<(RowResult, Option<usize>)> = Vec::new();
     let mut print_row = |row: RowResult, mem: usize, out: &mut Vec<(RowResult, Option<usize>)>| {
         println!(
-            "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>7} {:>8} {:>10}",
+            "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>8} {:>10}",
             row.name,
             row.metrics.states,
             row.metrics.branched_bits,
@@ -274,7 +270,6 @@ fn main() {
             if row.verified { "yes" } else { "NO" },
             row.relation_size,
             row.queries,
-            format!("{:.0}%", 100.0 * row.blast_cache_hit_rate),
             format!("{:.0}%", 100.0 * row.index_hit_rate),
             row.warm_speedup
                 .map(|s| format!("{s:.2}x"))
@@ -540,8 +535,6 @@ fn main() {
     for key in [
         "\"wp_generated\"",
         "\"wp_calls\"",
-        "\"blast_cache_hit_rate\"",
-        "\"threads\"",
         "\"index_hit_rate\"",
         "\"cegar_rounds\"",
         "\"blocks_validated\"",

@@ -42,12 +42,6 @@ pub struct RowResult {
     pub wp_calls: u64,
     /// Fraction of queries within 5 s (paper §7.3 reports 99%).
     pub queries_within_5s: f64,
-    /// Threads the query ran on (always 1: a query runs whole on one
-    /// thread).
-    pub threads: usize,
-    /// Fraction of asserted conjuncts served from the cross-query blast
-    /// cache.
-    pub blast_cache_hit_rate: f64,
     /// Fraction of linear-scan premise work avoided by the guard index.
     pub index_hit_rate: f64,
     /// CEGAR refinement rounds across all solver queries of the run.
@@ -281,8 +275,7 @@ pub fn rows_to_json(
              \"total_bits\": {}, \"runtime_secs\": {:.6}, \"peak_bytes\": {}, \
              \"verified\": {}, \"relation_size\": {}, \"wp_generated\": {}, \
              \"wp_calls\": {}, \"queries\": {}, \
-             \"queries_within_5s\": {:.4}, \"threads\": {}, \
-             \"blast_cache_hit_rate\": {:.4}, \"index_hit_rate\": {:.4}, \
+             \"queries_within_5s\": {:.4}, \"index_hit_rate\": {:.4}, \
              \"cegar_rounds\": {}, \"blocks_validated\": {}, \
              \"blocks_considered\": {}, \"session_rebuilds\": {}, \
              \"peak_live_clauses\": {}, \"sat_conflicts\": {}, \
@@ -304,8 +297,6 @@ pub fn rows_to_json(
             row.wp_calls,
             row.queries,
             row.queries_within_5s,
-            row.threads,
-            row.blast_cache_hit_rate,
             row.index_hit_rate,
             row.cegar_rounds,
             row.blocks_validated,
@@ -401,8 +392,6 @@ fn finish(
         wp_generated: stats.wp_generated,
         wp_calls: stats.wp_calls,
         queries_within_5s: stats.queries.fraction_within(Duration::from_secs(5)),
-        threads: stats.threads,
-        blast_cache_hit_rate: stats.queries.blast_cache_hit_rate(),
         index_hit_rate: stats.index_hit_rate(),
         cegar_rounds: stats.queries.cegar_rounds,
         blocks_validated: stats.queries.blocks_validated,
@@ -446,8 +435,6 @@ mod tests {
             cert.contains("\"relation\""),
             "certificate JSON is complete"
         );
-        assert_eq!(row.threads, 1);
-        assert!((0.0..=1.0).contains(&row.blast_cache_hit_rate));
         assert!((0.0..=1.0).contains(&row.index_hit_rate));
     }
 
@@ -482,8 +469,6 @@ mod tests {
         for key in [
             "\"wp_generated\"",
             "\"wp_calls\"",
-            "\"threads\"",
-            "\"blast_cache_hit_rate\"",
             "\"index_hit_rate\"",
             "\"cegar_rounds\"",
             "\"blocks_validated\"",

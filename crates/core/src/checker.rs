@@ -25,8 +25,9 @@ use crate::stats::RunStats;
 /// The shape of one query: the four knobs that change *what* is
 /// computed. The defaults enable every optimization described in the
 /// paper; the §7.3 ablation disables them selectively. Everything that
-/// only changes how fast queries run (batch threads, caches, session GC,
-/// the SAT policy) lives on [`EngineConfig`]. Reads no environment variable.
+/// only changes how fast queries run (batch threads, the warm-state bound,
+/// the state directory) lives on [`EngineConfig`]. Reads no environment
+/// variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Options {
     /// Use bisimulations with leaps (§5.2). Disabling falls back to
@@ -207,25 +208,6 @@ impl Checker {
         let outcome = self.engine.run_prepared(self.pair, &request);
         self.stats = self.engine.last_run_stats().clone();
         outcome
-    }
-}
-
-/// The strict-mode decision, factored out for testability: an
-/// [`Refutation::Unconfirmed`] under strict mode on a standard query is a
-/// hard error (the engine guarantees lifting succeeds there; failure means
-/// a checker or engine bug, not a property of the input).
-pub(crate) fn strict_witness_violation(
-    strict: bool,
-    standard_query: bool,
-    refutation: &Refutation,
-) -> Option<String> {
-    match refutation {
-        Refutation::Unconfirmed { reason, .. } if strict && standard_query => Some(format!(
-            "strict witness mode: refutation of a standard query could not be \
-             confirmed by explicit replay ({reason}); this indicates a bug in \
-             the checker or the counterexample engine, not in the input parsers"
-        )),
-        _ => None,
     }
 }
 
@@ -549,38 +531,6 @@ mod tests {
             "multiple guards in play: the index must skip premises: {stats:?}"
         );
         assert!(stats.index_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn strict_witness_decision_table() {
-        let unconfirmed = Refutation::Unconfirmed {
-            reason: "synthetic".into(),
-            report: "synthetic".into(),
-        };
-        // Hard error only for strict + standard + unconfirmed.
-        assert!(strict_witness_violation(true, true, &unconfirmed).is_some());
-        assert!(strict_witness_violation(false, true, &unconfirmed).is_none());
-        assert!(strict_witness_violation(true, false, &unconfirmed).is_none());
-    }
-
-    #[test]
-    fn strict_mode_passes_through_confirmed_witnesses() {
-        let a = parse(
-            "parser A { state s { extract(h, 2);
-               select(h) { 0b11 => accept; _ => reject; } } }",
-        )
-        .unwrap();
-        let b = parse(
-            "parser B { state s { extract(h, 2);
-               select(h) { 0b10 => accept; _ => reject; } } }",
-        )
-        .unwrap();
-        let config = EngineConfig::from_env().strict_witness(true);
-        let mut c = Checker::with_config(&a, state(&a, "s"), &b, state(&b, "s"), config);
-        match c.run() {
-            Outcome::NotEquivalent(r) => assert!(r.is_confirmed()),
-            other => panic!("expected NotEquivalent, got {other:?}"),
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! The primary entry point is the [`Engine`]: built once from a typed
 //! [`EngineConfig`], it keeps every cross-query structure warm — the
-//! shared CNF cache, per-pair sums and reachability sets, per-guard
+//! instantiation ledger, per-pair sums and reachability sets, per-guard
 //! solver sessions and entailment-verdict memos — so repeated and batched
 //! queries get cheaper over time. Results never depend on warmth.
 //!

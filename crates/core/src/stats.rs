@@ -37,7 +37,8 @@ pub struct RunStats {
     /// Packet bits removed by witness minimization (delta debugging).
     pub witness_bits_minimized: u64,
     /// Threads the query ran on: always 1, since a query runs whole on
-    /// one thread (0 only in a record that absorbed no run).
+    /// one thread (0 only in a record that absorbed no run). `perfbench`
+    /// reads it to check that the engine ran on one thread.
     pub threads: usize,
     /// Total `Skip`-rule entailment decisions taken.
     pub entailment_checks: u64,
@@ -144,9 +145,8 @@ impl RunStats {
         };
         format!(
             "iterations={} extended={} skipped={} wp={} wp_calls={} scope={} queries={} \
-             threads={} index_hit={:.0}% blast_cache={:.0}% cegar_rounds={} \
-             oracle_skip={:.0}% rebuilds={} peak_clauses={} warm(sessions={} \
-             memo={} sum={} reach={} ledger={}) time={:.2?}{}",
+             index_hit={:.0}% cegar_rounds={} oracle_skip={:.0}% rebuilds={} peak_clauses={} \
+             warm(sessions={} memo={} sum={} reach={} ledger={}) time={:.2?}{}",
             self.iterations,
             self.extended,
             self.skipped,
@@ -154,9 +154,7 @@ impl RunStats {
             self.wp_calls,
             self.scope_pairs,
             self.queries.queries,
-            self.threads,
             100.0 * self.index_hit_rate(),
-            100.0 * self.queries.blast_cache_hit_rate(),
             self.queries.cegar_rounds,
             100.0 * self.oracle_skip_rate(),
             self.queries.session_rebuilds,

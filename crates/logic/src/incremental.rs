@@ -25,13 +25,12 @@
 //!   since their last clean validation, and all violated blocks of a round
 //!   refine the context in a single batched assert.
 //! * **Contexts are clause-budgeted.** Activation-retired per-query
-//!   clauses accumulate in the CDCL solver forever; when the retired count
-//!   exceeds `gc_ratio ×` the live (permanent) count, the session
-//!   transparently rebuilds a fresh [`BlastContext`] from its persisted
-//!   permanent-formula list — premise seeds *and* every CEGAR
-//!   instantiation discovered so far — so no refinement work is lost.
-//!   `EngineConfig::session_gc_ratio` / `LEAPFROG_SESSION_GC` configure
-//!   the ratio (`0` disables GC).
+//!   clauses accumulate in the CDCL solver forever; once a context holds
+//!   at least [`GC_FLOOR`] live (permanent) clauses and its retired count
+//!   exceeds [`GC_RATIO`] × the live count, the session transparently
+//!   rebuilds a fresh [`BlastContext`] from its persisted permanent-formula
+//!   list — premise seeds *and* every CEGAR instantiation discovered so
+//!   far — so no refinement work is lost.
 //!
 //! Verdicts are exact booleans (the CEGAR loop validates any candidate
 //! model against the *true* `∀`-premises), so sessions are freely mixed
@@ -45,7 +44,7 @@ use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::ast::Automaton;
 use leapfrog_smt::{
     instantiate_forall, BBit, BlastContext, BvVar, Declarations, Formula, InstLedger, QueryStats,
-    RefinementOracle, SharedBlastCache, SolverConfig, SolverStats,
+    RefinementOracle, SolverStats,
 };
 
 use crate::confrel::ConfRel;
@@ -63,53 +62,18 @@ mod meters {
     pub static SESSION_REBUILDS: LazyCounter = LazyCounter::new("leapfrog_session_rebuilds_total");
     pub static SESSION_EVICTIONS: LazyCounter =
         LazyCounter::new("leapfrog_session_evictions_total");
-    pub static BLAST_CACHE_HITS: LazyCounter = LazyCounter::new("leapfrog_blast_cache_hits_total");
-    pub static BLAST_CACHE_MISSES: LazyCounter =
-        LazyCounter::new("leapfrog_blast_cache_misses_total");
     pub static GUARD_CHECK_SECONDS: LazyHistogram =
         LazyHistogram::new("leapfrog_guard_check_seconds");
 }
 
-/// Typed configuration for guard sessions and session pools — the knobs a
-/// long-lived engine owns, as one value instead of a parameter sprawl.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// Clause-budget GC ratio: rebuild the context when retired clauses
-    /// exceed `ratio ×` live clauses. `None` disables the GC.
-    pub gc_ratio: Option<f64>,
-    /// Clause-count floor for the GC: a context holding fewer live clauses
-    /// than this never rebuilds, however lopsided its retired/live ratio —
-    /// small, cache-served sessions churn through activation-retired
-    /// clauses quickly, and rebuilding them buys nothing.
-    pub gc_floor: u64,
-    /// Cross-session instantiation ledger: `∀`-block validation verdicts
-    /// keyed by canonical block identity and support valuation, shared by
-    /// every session of an engine (across guards, pools and threads).
-    pub ledger: Option<InstLedger>,
-    /// CDCL configuration for every context this session (or pool)
-    /// creates — including GC-rebuild replacements — and for its oracle's
-    /// validation solves.
-    pub sat: SolverConfig,
-}
+/// A guard session rebuilds its context once the clauses retired by
+/// finished queries exceed this many times its live (permanent) clauses.
+pub const GC_RATIO: f64 = 4.0;
 
-impl Default for SessionConfig {
-    /// GC and ledger off, default solver configuration.
-    fn default() -> SessionConfig {
-        SessionConfig {
-            gc_ratio: None,
-            gc_floor: 0,
-            ledger: None,
-            sat: SolverConfig::default(),
-        }
-    }
-}
-
-impl SessionConfig {
-    /// GC and ledger both off — the standalone-session default.
-    pub fn new() -> SessionConfig {
-        SessionConfig::default()
-    }
-}
+/// A context holding fewer live clauses than this never rebuilds, however
+/// lopsided its retired/live ratio: small sessions churn through retired
+/// clauses quickly, and rebuilding them costs more than it reclaims.
+pub const GC_FLOOR: u64 = 512;
 
 /// A persistent entailment context for one template-pair guard.
 pub struct GuardSession {
@@ -127,8 +91,14 @@ pub struct GuardSession {
     /// Root clauses contributed by permanent asserts in the current
     /// context (measured via [`BlastContext::clauses_added`] deltas).
     live_clauses: u64,
-    /// GC budget and cross-session ledger (see [`SessionConfig`]).
-    cfg: SessionConfig,
+    /// The rebuild thresholds: [`GC_RATIO`] and [`GC_FLOOR`] outside unit
+    /// tests.
+    gc_ratio: f64,
+    gc_floor: u64,
+    /// Cross-session instantiation ledger: `∀`-block validation verdicts
+    /// keyed by canonical block identity and support valuation, shared by
+    /// every session of an engine.
+    ledger: Option<InstLedger>,
     /// Set when the permanent constraints became unsatisfiable at the
     /// root: the premises entail everything.
     poisoned: bool,
@@ -143,28 +113,14 @@ pub struct GuardSession {
 }
 
 impl GuardSession {
-    /// A fresh session for a guard, with clause-budget GC disabled.
+    /// A fresh session for a guard, with no instantiation ledger.
     pub fn new(guard: TemplatePair) -> GuardSession {
-        GuardSession::with_gc(guard, None)
+        GuardSession::with_ledger(guard, None)
     }
 
-    /// A fresh session for a guard. `gc_ratio` bounds context growth:
-    /// when the clauses retired by finished queries exceed `ratio ×` the
-    /// live (permanent) clauses, the context is rebuilt from the persisted
-    /// permanent list. `None` disables the GC. (Compat shim over
-    /// [`GuardSession::with_config`] with no floor and no ledger.)
-    pub fn with_gc(guard: TemplatePair, gc_ratio: Option<f64>) -> GuardSession {
-        GuardSession::with_config(
-            guard,
-            SessionConfig {
-                gc_ratio,
-                ..SessionConfig::default()
-            },
-        )
-    }
-
-    /// A fresh session for a guard under a full [`SessionConfig`].
-    pub fn with_config(guard: TemplatePair, cfg: SessionConfig) -> GuardSession {
+    /// A fresh session for a guard whose CEGAR validations replay from and
+    /// record into `ledger`.
+    pub fn with_ledger(guard: TemplatePair, ledger: Option<InstLedger>) -> GuardSession {
         GuardSession {
             decls: Declarations::new(),
             env: LowerEnv {
@@ -174,17 +130,28 @@ impl GuardSession {
                 guard_left: guard.left.buf_len,
                 guard_right: guard.right.buf_len,
             },
-            ctx: BlastContext::new(cfg.sat),
+            ctx: BlastContext::new(),
             premise_count: 0,
-            oracle: RefinementOracle::new(cfg.sat),
+            oracle: RefinementOracle::new(),
             permanent: Vec::new(),
             live_clauses: 0,
-            cfg,
+            gc_ratio: GC_RATIO,
+            gc_floor: GC_FLOOR,
+            ledger,
             poisoned: false,
             checks: 0,
             stats: QueryStats::default(),
             sat_retired: SolverStats::default(),
         }
+    }
+
+    /// Lowers the rebuild thresholds, so unit tests can force or suppress
+    /// rebuilds on sessions far smaller than [`GC_FLOOR`].
+    #[cfg(test)]
+    fn with_gc_thresholds(mut self, ratio: f64, floor: u64) -> GuardSession {
+        self.gc_ratio = ratio;
+        self.gc_floor = floor;
+        self
     }
 
     /// Query statistics for this session (one entry per [`Self::check`]).
@@ -202,31 +169,23 @@ impl GuardSession {
     /// Rebuilds the context from the permanent-formula list when the
     /// retired-clause budget is exhausted. CEGAR instantiations are part
     /// of the list, so no refinement work is re-discovered. Contexts whose
-    /// live-clause count is under [`SessionConfig::gc_floor`] never
-    /// rebuild: their absolute size is already bounded by the floor, and
-    /// on small cache-served rows the default ratio otherwise triggers
-    /// rebuilds that cost more than the clauses they reclaim.
-    fn maybe_gc(&mut self, cache: &SharedBlastCache) {
-        let Some(ratio) = self.cfg.gc_ratio else {
-            return;
-        };
-        if self.poisoned {
+    /// live-clause count is under the floor never rebuild: their absolute
+    /// size is already bounded by it.
+    fn maybe_gc(&mut self) {
+        if self.poisoned || self.live_clauses < self.gc_floor {
             return;
         }
-        if self.live_clauses < self.cfg.gc_floor {
-            return;
-        }
-        if (self.retired_clauses() as f64) <= ratio * self.live_clauses.max(1) as f64 {
+        if (self.retired_clauses() as f64) <= self.gc_ratio * self.live_clauses.max(1) as f64 {
             return;
         }
         self.sat_retired.absorb(&self.ctx.solver().stats());
-        self.ctx = BlastContext::new(self.cfg.sat);
+        self.ctx = BlastContext::new();
         self.live_clauses = 0;
         self.stats.session_rebuilds += 1;
         meters::SESSION_REBUILDS.inc();
         let permanent = std::mem::take(&mut self.permanent);
         for f in &permanent {
-            if !self.replay_assert(f, cache) {
+            if !self.replay_assert(f) {
                 self.poisoned = true;
             }
         }
@@ -237,18 +196,12 @@ impl GuardSession {
     /// same-guard slice of the relation store, in insertion order; it may
     /// only have grown since the previous call (new premises are synced
     /// into the persistent context incrementally).
-    pub fn check(
-        &mut self,
-        aut: &Automaton,
-        premises: &[&ConfRel],
-        conclusion: &ConfRel,
-        cache: &SharedBlastCache,
-    ) -> bool {
+    pub fn check(&mut self, aut: &Automaton, premises: &[&ConfRel], conclusion: &ConfRel) -> bool {
         let start = Instant::now();
         let _span = leapfrog_obs::trace::span(leapfrog_obs::Phase::GuardEntailment);
         self.stats.queries += 1;
         meters::GUARD_CHECKS.inc();
-        self.maybe_gc(cache);
+        self.maybe_gc();
         // Hard assert: the permanent context cannot un-assert clauses, so
         // a shrinking slice would leave stale premises asserted and make
         // later "entailed" verdicts unsound. The relation store's
@@ -281,7 +234,7 @@ impl GuardSession {
                 .map(|x| BitVec::zeros(self.decls.width(*x)))
                 .collect();
             let inst = instantiate_forall(&body, &quantified, &seed);
-            if !self.assert_permanent(inst, cache) {
+            if !self.assert_permanent(inst) {
                 self.poisoned = true;
             }
             if !quantified.is_empty() {
@@ -350,14 +303,14 @@ impl GuardSession {
                     self.stats.blocks_considered += self.oracle.len() as u64;
                     let round =
                         self.oracle
-                            .validate_with(&self.decls, &model, self.cfg.ledger.as_ref());
+                            .validate_with(&self.decls, &model, self.ledger.as_ref());
                     self.stats.blocks_validated += round.validated;
                     self.stats.inst_ledger_hits += round.ledger_hits;
                     self.sat_retired.absorb(&round.sat);
                     match round.refinement {
                         None => break false,
                         Some(batch) => {
-                            if !self.assert_permanent(batch, cache) {
+                            if !self.assert_permanent(batch) {
                                 self.poisoned = true;
                                 break true;
                             }
@@ -389,24 +342,17 @@ impl GuardSession {
 
     /// Asserts `f` permanently: it joins the persisted list replayed by GC
     /// rebuilds, and its clauses count as live.
-    fn assert_permanent(&mut self, f: Formula, cache: &SharedBlastCache) -> bool {
-        let ok = self.replay_assert(&f, cache);
+    fn assert_permanent(&mut self, f: Formula) -> bool {
+        let ok = self.replay_assert(&f);
         self.permanent.push(f);
         ok
     }
 
     /// Asserts a formula into the current context, attributing its clauses
     /// to the live (permanent) budget.
-    fn replay_assert(&mut self, f: &Formula, cache: &SharedBlastCache) -> bool {
+    fn replay_assert(&mut self, f: &Formula) -> bool {
         let before = self.ctx.clauses_added();
-        let (ok, hit) = self.ctx.assert_formula_cached(&self.decls, f, cache);
-        if hit {
-            self.stats.blast_cache_hits += 1;
-            meters::BLAST_CACHE_HITS.inc();
-        } else {
-            self.stats.blast_cache_misses += 1;
-            meters::BLAST_CACHE_MISSES.inc();
-        }
+        let ok = self.ctx.assert_formula(&self.decls, f);
         self.live_clauses += self.ctx.clauses_added() - before;
         ok
     }
@@ -419,7 +365,8 @@ impl GuardSession {
 #[derive(Default)]
 pub struct SessionPool {
     sessions: HashMap<TemplatePair, GuardSession>,
-    cfg: SessionConfig,
+    /// The instantiation ledger every session of the pool shares.
+    ledger: Option<InstLedger>,
     /// Monotone use counter driving the LRU order of [`Self::prune_lru`].
     tick: u64,
     /// Last-use tick per resident guard session.
@@ -431,24 +378,15 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// An empty pool with clause-budget GC disabled.
+    /// An empty pool with no instantiation ledger.
     pub fn new() -> SessionPool {
         SessionPool::default()
     }
 
-    /// An empty pool whose sessions rebuild their contexts when retired
-    /// clauses exceed `ratio ×` the live clauses (`None` disables GC).
-    pub fn with_gc(gc_ratio: Option<f64>) -> SessionPool {
-        SessionPool::with_config(SessionConfig {
-            gc_ratio,
-            ..SessionConfig::default()
-        })
-    }
-
-    /// An empty pool whose sessions are created under `cfg`.
-    pub fn with_config(cfg: SessionConfig) -> SessionPool {
+    /// An empty pool whose sessions share `ledger`.
+    pub fn with_ledger(ledger: InstLedger) -> SessionPool {
         SessionPool {
-            cfg,
+            ledger: Some(ledger),
             ..SessionPool::default()
         }
     }
@@ -469,21 +407,21 @@ impl SessionPool {
     /// protocol a long-lived engine needs to thread one pool through many
     /// queries without dangling sessions.
     pub fn lease(&mut self, guard: TemplatePair) -> SessionLease<'_> {
-        let cfg = self.cfg.clone();
+        let ledger = &self.ledger;
         self.tick += 1;
         self.last_used.insert(guard, self.tick);
         let session = self
             .sessions
             .entry(guard)
-            .or_insert_with(|| GuardSession::with_config(guard, cfg));
+            .or_insert_with(|| GuardSession::with_ledger(guard, ledger.clone()));
         SessionLease { session }
     }
 
     /// Evicts least-recently-used guard sessions until at most
     /// `max_sessions` remain, returning how many were dropped. The pruned
     /// sessions' statistics are preserved in the pool totals; a later
-    /// check of a pruned guard simply rebuilds its context from scratch
-    /// (and from the shared blast cache), so verdicts never change — the
+    /// check of a pruned guard simply rebuilds its context from scratch,
+    /// so verdicts never change — the
     /// eviction hook a capacity-bounded engine drives between runs.
     pub fn prune_lru(&mut self, max_sessions: usize) -> usize {
         let mut evicted = 0;
@@ -505,15 +443,9 @@ impl SessionPool {
 
     /// Decides `⋀ premises ⊨ conclusion` through the guard's session,
     /// creating it on first use.
-    pub fn check(
-        &mut self,
-        aut: &Automaton,
-        premises: &[&ConfRel],
-        conclusion: &ConfRel,
-        cache: &SharedBlastCache,
-    ) -> bool {
+    pub fn check(&mut self, aut: &Automaton, premises: &[&ConfRel], conclusion: &ConfRel) -> bool {
         self.lease(conclusion.guard)
-            .check(aut, premises, conclusion, cache)
+            .check(aut, premises, conclusion)
     }
 
     /// Merged statistics across the pool's sessions, in guard order (the
@@ -540,14 +472,8 @@ pub struct SessionLease<'p> {
 impl SessionLease<'_> {
     /// Decides `⋀ premises ⊨ conclusion` in the leased session (see
     /// [`GuardSession::check`] for the premise-slice contract).
-    pub fn check(
-        &mut self,
-        aut: &Automaton,
-        premises: &[&ConfRel],
-        conclusion: &ConfRel,
-        cache: &SharedBlastCache,
-    ) -> bool {
-        self.session.check(aut, premises, conclusion, cache)
+    pub fn check(&mut self, aut: &Automaton, premises: &[&ConfRel], conclusion: &ConfRel) -> bool {
+        self.session.check(aut, premises, conclusion)
     }
 
     /// The leased session's query statistics.
@@ -645,13 +571,12 @@ mod tests {
                 phi: Pure::eq(BitExpr::Var(VarId(0)), BitExpr::Lit(BitVec::zeros(2))),
             },
         ];
-        let cache = SharedBlastCache::new();
         let mut session = GuardSession::new(g);
         for upto in 0..=premises.len() {
             let slice: Vec<&ConfRel> = premises[..upto].iter().collect();
             for concl in &conclusions {
                 let expected = entails_stateless(&a, &premises[..upto], concl);
-                let got = session.check(&a, &slice, concl, &cache);
+                let got = session.check(&a, &slice, concl);
                 assert_eq!(
                     got,
                     expected,
@@ -665,9 +590,9 @@ mod tests {
 
     #[test]
     fn gc_forced_session_agrees_and_rebuilds() {
-        // An aggressive GC ratio forces context rebuilds between queries;
-        // every verdict must still match the stateless pipeline, and the
-        // rebuild counter must record the churn.
+        // An aggressive GC ratio with no floor forces context rebuilds
+        // between queries; every verdict must still match the stateless
+        // pipeline, and the rebuild counter must record the churn.
         let a = aut();
         let g = guard(3, 3);
         let h = a.header_by_name("h").unwrap();
@@ -696,13 +621,12 @@ mod tests {
             },
             ConfRel::forbidden(g),
         ];
-        let cache = SharedBlastCache::new();
-        let mut session = GuardSession::with_gc(g, Some(0.001));
+        let mut session = GuardSession::new(g).with_gc_thresholds(0.001, 0);
         for upto in 0..=premises.len() {
             let slice: Vec<&ConfRel> = premises[..upto].iter().collect();
             for concl in &conclusions {
                 let expected = entails_stateless(&a, &premises[..upto], concl);
-                let got = session.check(&a, &slice, concl, &cache);
+                let got = session.check(&a, &slice, concl);
                 assert_eq!(got, expected, "prefix {upto}: {}", concl.display(&a));
             }
         }
@@ -745,20 +669,12 @@ mod tests {
             },
             ConfRel::forbidden(g),
         ];
-        let cache = SharedBlastCache::new();
-        let mut session = GuardSession::with_config(
-            g,
-            SessionConfig {
-                gc_ratio: Some(0.001),
-                gc_floor: 1_000_000,
-                ..SessionConfig::default()
-            },
-        );
+        let mut session = GuardSession::new(g).with_gc_thresholds(0.001, 1_000_000);
         for upto in 0..=premises.len() {
             let slice: Vec<&ConfRel> = premises[..upto].iter().collect();
             for concl in &conclusions {
                 let expected = entails_stateless(&a, &premises[..upto], concl);
-                let got = session.check(&a, &slice, concl, &cache);
+                let got = session.check(&a, &slice, concl);
                 assert_eq!(got, expected, "prefix {upto}: {}", concl.display(&a));
             }
         }
@@ -786,24 +702,19 @@ mod tests {
             ),
         }];
         let conclusions = [buf_eq_rel(g), ConfRel::forbidden(g)];
-        let cache = SharedBlastCache::new();
-        let ledger = leapfrog_smt::InstLedger::new();
-        let cfg = SessionConfig {
-            ledger: Some(ledger.clone()),
-            ..SessionConfig::default()
-        };
+        let ledger = InstLedger::new();
         let slice: Vec<&ConfRel> = premises.iter().collect();
-        let run = |cfg: SessionConfig| -> (Vec<bool>, u64) {
-            let mut session = GuardSession::with_config(g, cfg);
+        let run = |ledger: Option<InstLedger>| -> (Vec<bool>, u64) {
+            let mut session = GuardSession::with_ledger(g, ledger);
             let verdicts = conclusions
                 .iter()
-                .map(|c| session.check(&a, &slice, c, &cache))
+                .map(|c| session.check(&a, &slice, c))
                 .collect();
             (verdicts, session.stats().inst_ledger_hits)
         };
-        let (v1, hits1) = run(cfg.clone());
-        let (v2, hits2) = run(cfg);
-        let (v3, _) = run(SessionConfig::default());
+        let (v1, hits1) = run(Some(ledger.clone()));
+        let (v2, hits2) = run(Some(ledger.clone()));
+        let (v3, _) = run(None);
         assert_eq!(v1, v2, "ledger replay must not change verdicts");
         assert_eq!(v1, v3, "ledger on/off must agree");
         assert!(!ledger.is_empty(), "validations must be recorded");
@@ -820,15 +731,14 @@ mod tests {
         let g = guard(1, 1);
         let premises = [ConfRel::forbidden(g)];
         let slice: Vec<&ConfRel> = premises.iter().collect();
-        let cache = SharedBlastCache::new();
         let mut session = GuardSession::new(g);
-        assert!(session.check(&a, &slice, &buf_eq_rel(g), &cache));
+        assert!(session.check(&a, &slice, &buf_eq_rel(g)));
         let impossible = ConfRel {
             guard: g,
             vars: vec![2],
             phi: Pure::eq(BitExpr::Var(VarId(0)), BitExpr::Lit(BitVec::zeros(2))),
         };
-        assert!(session.check(&a, &slice, &impossible, &cache));
+        assert!(session.check(&a, &slice, &impossible));
     }
 
     #[test]
@@ -837,13 +747,12 @@ mod tests {
         let g1 = guard(1, 1);
         let g2 = guard(2, 2);
         let g3 = guard(3, 3);
-        let cache = SharedBlastCache::new();
         let mut pool = SessionPool::new();
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g1), &cache));
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g2), &cache));
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g3), &cache));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g1)));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g2)));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g3)));
         // Re-touch g1 so g2 is the LRU victim.
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g1), &cache));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g1)));
         let before = pool.stats();
         assert_eq!(pool.prune_lru(2), 1);
         assert_eq!(pool.len(), 2);
@@ -853,8 +762,8 @@ mod tests {
             "pruned sessions' statistics must be preserved"
         );
         // A pruned guard rebuilds transparently with the same verdicts.
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g2), &cache));
-        assert!(!pool.check(&a, &[], &ConfRel::forbidden(g2), &cache));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g2)));
+        assert!(!pool.check(&a, &[], &ConfRel::forbidden(g2)));
         assert_eq!(pool.prune_lru(0), 3, "prune to zero drops everything");
         assert!(pool.is_empty());
         assert_eq!(pool.stats().queries, before.queries + 2);
@@ -865,13 +774,12 @@ mod tests {
         let a = aut();
         let g1 = guard(1, 1);
         let g2 = guard(2, 2);
-        let cache = SharedBlastCache::new();
         let mut pool = SessionPool::new();
         // Tautological conclusion holds with no premises at both guards.
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g1), &cache));
-        assert!(pool.check(&a, &[], &ConfRel::trivial(g2), &cache));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g1)));
+        assert!(pool.check(&a, &[], &ConfRel::trivial(g2)));
         // ⊥ conclusion does not.
-        assert!(!pool.check(&a, &[], &ConfRel::forbidden(g1), &cache));
+        assert!(!pool.check(&a, &[], &ConfRel::forbidden(g1)));
         let stats = pool.stats();
         assert_eq!(stats.queries, 3);
     }

@@ -1,37 +1,29 @@
-//! Solver-isolation microbenchmark: run the CDCL core on captured CNFs
+//! Solver-isolation microbenchmark: run the CDCL core on DIMACS CNF files
 //! without driving the engine.
 //!
-//! Accepts standard DIMACS files and blast-cache exports (the
-//! `blast_cache.txt` a persistent engine writes into its state dir), so a
-//! captured engine workload can be replayed straight through the solver:
-//!
 //! ```text
-//! sat_micro [--lbd=0|1] [--repeat N] <file> [<file>…]
+//! sat_micro [--repeat N] <file.cnf> [<file.cnf>…]
 //! ```
 //!
-//! `--lbd=0` turns LBD-tiered clause management off for A/B runs on
-//! identical input; `--repeat` re-solves each instance on a fresh solver N
-//! times and reports the minimum wall time (scheduler-noise floor).
+//! `--repeat` re-solves each instance on a fresh solver N times and
+//! reports the minimum wall time (scheduler-noise floor).
 
 use std::time::Instant;
 
-use leapfrog_sat::dimacs::{parse_auto, Cnf};
-use leapfrog_sat::{SolveResult, Solver, SolverConfig};
+use leapfrog_sat::dimacs::{parse_dimacs, Cnf};
+use leapfrog_sat::{SolveResult, Solver};
 
 fn usage() -> ! {
-    eprintln!("usage: sat_micro [--lbd=0|1] [--repeat N] <file.cnf|blast_cache.txt>...");
+    eprintln!("usage: sat_micro [--repeat N] <file.cnf>...");
     std::process::exit(2);
 }
 
 fn main() {
-    let mut cfg = SolverConfig::default();
     let mut repeat = 1usize;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if let Some(v) = arg.strip_prefix("--lbd=") {
-            cfg.lbd = v != "0";
-        } else if arg == "--repeat" {
+        if arg == "--repeat" {
             repeat = args
                 .next()
                 .and_then(|v| v.parse().ok())
@@ -58,8 +50,8 @@ fn main() {
             }
         };
         let stem = path.rsplit('/').next().unwrap_or(path);
-        match parse_auto(&text, stem) {
-            Ok(mut cnfs) => instances.append(&mut cnfs),
+        match parse_dimacs(&text, stem) {
+            Ok(cnf) => instances.push(cnf),
             Err(e) => {
                 eprintln!("sat_micro: {path}: {e}");
                 std::process::exit(1);
@@ -68,16 +60,15 @@ fn main() {
     }
 
     println!(
-        "sat_micro: {} instance(s), lbd={}, repeat={}",
+        "sat_micro: {} instance(s), repeat={}",
         instances.len(),
-        cfg.lbd,
         repeat
     );
     let mut total_best = 0.0f64;
     for cnf in &instances {
         let mut best: Option<(f64, SolveResult, u64, u64)> = None;
         for _ in 0..repeat {
-            let mut s = Solver::with_config(cfg);
+            let mut s = Solver::new();
             let t0 = Instant::now();
             let root_ok = cnf.load_into(&mut s);
             let verdict = if root_ok {

@@ -1,23 +1,10 @@
-//! Minimal CNF loaders for solver-isolation benchmarking.
+//! A minimal DIMACS CNF loader for solver-isolation benchmarking.
 //!
-//! Two formats are understood:
-//!
-//! - standard DIMACS CNF (`p cnf <vars> <clauses>` header, clauses as
-//!   whitespace-separated 1-based signed literals terminated by `0`);
-//! - the engine's blast-cache export
-//!   ([`SharedBlastCache::export_text`][cache] in `leapfrog-smt`): a
-//!   `# leapfrog-blast-cache v1` header, then per-template `t <vars>
-//!   <input_bits> <key>` lines followed by `c <lit>…` clause lines — which
-//!   lets captured engine workloads (a persisted `blast_cache.txt`) be
-//!   replayed directly against the solver without driving the pipeline.
-//!
-//! [cache]: https://docs.rs/leapfrog-smt
-//!
-//! The loaders return plain clause lists; [`Cnf::load_into`] feeds them to
-//! a [`Solver`] built with whatever [`crate::SolverConfig`] the caller
-//! wants,
-//! which is how the `sat_micro` dev binary A/B-tests solver heuristics on
-//! identical input.
+//! Standard DIMACS CNF: a `p cnf <vars> <clauses>` header, then clauses
+//! as whitespace-separated 1-based signed literals terminated by `0`.
+//! [`parse_dimacs`] returns a plain clause list and [`Cnf::load_into`]
+//! feeds it to a [`Solver`], which is how the `sat_micro` dev binary
+//! times the solver on identical input.
 
 use crate::{Lit, Solver, Var};
 
@@ -28,7 +15,7 @@ pub struct Cnf {
     pub num_vars: usize,
     /// Clauses over [`Lit`]s with 0-based variables.
     pub clauses: Vec<Vec<Lit>>,
-    /// Instance label: the DIMACS filename stem or blast-cache key.
+    /// Instance label: the DIMACS filename stem.
     pub name: String,
 }
 
@@ -110,61 +97,6 @@ pub fn parse_dimacs(text: &str, name: &str) -> Result<Cnf, String> {
     })
 }
 
-/// Parses a blast-cache export (`# leapfrog-blast-cache v1`) into one
-/// [`Cnf`] per cached template, named by the template key.
-pub fn parse_blast_cache(text: &str) -> Result<Vec<Cnf>, String> {
-    let mut out: Vec<Cnf> = Vec::new();
-    for (n, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("t ") {
-            let mut it = rest.splitn(3, ' ');
-            let num_vars: usize = it
-                .next()
-                .ok_or_else(|| format!("line {}: missing var count", n + 1))?
-                .parse()
-                .map_err(|_| format!("line {}: bad var count", n + 1))?;
-            let _input_bits = it.next();
-            let key = it.next().unwrap_or("").to_string();
-            out.push(Cnf {
-                num_vars,
-                clauses: Vec::new(),
-                name: key,
-            });
-        } else if let Some(rest) = line.strip_prefix("c ") {
-            let cnf = out
-                .last_mut()
-                .ok_or_else(|| format!("line {}: clause before any template", n + 1))?;
-            let clause: Result<Vec<Lit>, String> = rest
-                .split_whitespace()
-                .map(|tok| parse_signed_lit(tok, cnf.num_vars))
-                .collect();
-            cnf.clauses.push(clause?);
-        } else {
-            return Err(format!("line {}: unrecognized line {line:?}", n + 1));
-        }
-    }
-    Ok(out)
-}
-
-/// Detects the format from the content and parses accordingly: blast-cache
-/// exports lead with their magic header or a `t ` template line; anything
-/// else is treated as DIMACS. Returns one or more instances.
-pub fn parse_auto(text: &str, name: &str) -> Result<Vec<Cnf>, String> {
-    let first = text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .unwrap_or("")
-        .trim();
-    if first.starts_with("# leapfrog-blast-cache") || first.starts_with("t ") {
-        parse_blast_cache(text)
-    } else {
-        parse_dimacs(text, name).map(|c| vec![c])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,30 +126,5 @@ mod tests {
     fn rejects_out_of_range_literal() {
         assert!(parse_dimacs("p cnf 2 1\n3 0\n", "bad").is_err());
         assert!(parse_dimacs("1 0\n", "headerless").is_err());
-    }
-
-    #[test]
-    fn parses_blast_cache_export() {
-        let text = "# leapfrog-blast-cache v1\nt 3 2 key_a\nc 1 -2\nc 2 3\nt 2 1 key_b\nc -1 -2\n";
-        let cnfs = parse_blast_cache(text).unwrap();
-        assert_eq!(cnfs.len(), 2);
-        assert_eq!(cnfs[0].name, "key_a");
-        assert_eq!(cnfs[0].num_vars, 3);
-        assert_eq!(cnfs[0].clauses.len(), 2);
-        assert_eq!(cnfs[1].name, "key_b");
-        let mut s = Solver::new();
-        assert!(cnfs[0].load_into(&mut s));
-        assert_eq!(s.solve(&[]), SolveResult::Sat);
-    }
-
-    #[test]
-    fn auto_detects_format() {
-        assert_eq!(parse_auto("p cnf 1 1\n1 0\n", "d").unwrap().len(), 1);
-        assert_eq!(
-            parse_auto("# leapfrog-blast-cache v1\nt 1 1 k\nc 1\n", "b")
-                .unwrap()
-                .len(),
-            1
-        );
     }
 }

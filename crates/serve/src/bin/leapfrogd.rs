@@ -16,7 +16,7 @@
 //!   CI smoke job discovers the port this way).
 //!
 //! Engine tuning comes from the `LEAPFROG_*` environment
-//! (`EngineConfig::from_env()`: threads, session GC, blast cache,
+//! (`EngineConfig::from_env()`: `LEAPFROG_THREADS`,
 //! `LEAPFROG_WARM_CAP`); named rows are built at `LEAPFROG_SCALE`;
 //! admission control reads `LEAPFROG_QUEUE_DEPTH` and
 //! `LEAPFROG_CLIENT_QUOTA`.

@@ -61,7 +61,12 @@
 //! `RunStats`. Likewise, older peers sent the intra-query parallel
 //! frontier's `parallel_batches`, `parallel_checks` and `merge_rechecks`
 //! counters; every query now runs on one thread, so those keys are no
-//! longer written and are ignored when present.
+//! longer written and are ignored when present. Older peers also sent the
+//! cross-query blast cache's `queries.blast_cache_hits` and
+//! `queries.blast_cache_misses` counters, and a `cache_entries` size in
+//! the engine stats object; the cache is gone, so these keys are no
+//! longer written and are ignored when present (the decoded
+//! `blast_cache_*` counters read 0).
 //!
 //! `metrics` and `slow_log` are answered by the connection thread
 //! directly from the process-global registry/trace collector — they
@@ -749,11 +754,6 @@ pub fn query_stats_to_value(q: &QueryStats) -> Value {
         ("blocks_validated", json::num(q.blocks_validated as usize)),
         ("session_rebuilds", json::num(q.session_rebuilds as usize)),
         ("live_clauses_peak", json::num(q.live_clauses_peak as usize)),
-        ("blast_cache_hits", json::num(q.blast_cache_hits as usize)),
-        (
-            "blast_cache_misses",
-            json::num(q.blast_cache_misses as usize),
-        ),
         ("inst_ledger_hits", json::num(q.inst_ledger_hits as usize)),
         ("sat", solver_stats_to_value(&q.sat)),
         (
@@ -776,8 +776,8 @@ pub fn query_stats_from_value(v: &Value) -> Result<QueryStats, String> {
         blocks_validated: n("blocks_validated")?,
         session_rebuilds: n("session_rebuilds")?,
         live_clauses_peak: n("live_clauses_peak")?,
-        blast_cache_hits: n("blast_cache_hits")?,
-        blast_cache_misses: n("blast_cache_misses")?,
+        blast_cache_hits: 0,
+        blast_cache_misses: 0,
         inst_ledger_hits: n("inst_ledger_hits")?,
         sat: solver_stats_from_value(json::get(v, "sat").map_err(err)?)?,
         durations: json::as_arr(json::get(v, "durations_nanos").map_err(err)?)
@@ -1018,11 +1018,10 @@ pub fn run_stats_from_value(v: &Value) -> Result<RunStats, String> {
 }
 
 /// Encodes engine-lifetime statistics for the `stats` wire request,
-/// including the LRU eviction counters and the live ledger/cache sizes.
+/// including the LRU eviction counters and the live ledger size.
 pub fn engine_stats_to_value(
     s: &EngineStats,
     ledger_len: usize,
-    cache_entries: usize,
     state_report: Option<&str>,
 ) -> Value {
     json::obj(vec![
@@ -1041,7 +1040,6 @@ pub fn engine_stats_to_value(
         ("session_evictions", json::num(s.session_evictions as usize)),
         ("ledger_evictions", json::num(s.ledger_evictions as usize)),
         ("ledger_len", json::num(ledger_len)),
-        ("cache_entries", json::num(cache_entries)),
         (
             "state_report",
             match state_report {
@@ -1053,7 +1051,7 @@ pub fn engine_stats_to_value(
 }
 
 /// One engine's `stats` payload in typed form: the lifetime counters
-/// plus the live ledger/cache sizes and the state-load report. Encodes
+/// plus the live ledger size and the state-load report. Encodes
 /// via [`engine_stats_reply_to_value`] to exactly the object
 /// [`engine_stats_to_value`] produces.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -1062,8 +1060,6 @@ pub struct EngineStatsReply {
     pub stats: EngineStats,
     /// Verdicts currently recorded in the instantiation ledger.
     pub ledger_len: usize,
-    /// CNF templates resident in the blast cache.
-    pub cache_entries: usize,
     /// What state-dir loading found at construction, if anything.
     pub state_report: Option<String>,
 }
@@ -1071,12 +1067,7 @@ pub struct EngineStatsReply {
 /// Encodes a typed engine-stats reply (same bytes as
 /// [`engine_stats_to_value`] on the parts).
 pub fn engine_stats_reply_to_value(r: &EngineStatsReply) -> Value {
-    engine_stats_to_value(
-        &r.stats,
-        r.ledger_len,
-        r.cache_entries,
-        r.state_report.as_deref(),
-    )
+    engine_stats_to_value(&r.stats, r.ledger_len, r.state_report.as_deref())
 }
 
 /// Decodes an engine-stats object (the `"engine"` payload of a `stats`
@@ -1101,7 +1092,6 @@ pub fn engine_stats_reply_from_value(v: &Value) -> Result<EngineStatsReply, Stri
             ledger_evictions: n("ledger_evictions")?,
         },
         ledger_len: json::as_usize(json::get(v, "ledger_len").map_err(err)?).map_err(err)?,
-        cache_entries: json::as_usize(json::get(v, "cache_entries").map_err(err)?).map_err(err)?,
         state_report: match json::get(v, "state_report").map_err(err)? {
             Value::Null => None,
             other => Some(json::as_str(other).map_err(err)?.to_string()),
@@ -1147,7 +1137,6 @@ impl FleetStats {
             a.session_evictions += s.stats.session_evictions;
             a.ledger_evictions += s.stats.ledger_evictions;
             aggregate.ledger_len += s.ledger_len;
-            aggregate.cache_entries += s.cache_entries;
             if let Some(r) = &s.state_report {
                 reports.push(format!("shard-{i}: {r}"));
             }

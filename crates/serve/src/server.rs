@@ -32,9 +32,9 @@
 //! worker count reloads natively; any other layout (different worker
 //! count, or a pre-fleet single-engine dir) goes through the merge
 //! path: every saved memo re-routes to the shard its fingerprint now
-//! maps to, witness corpora union, and content-keyed artifacts (blast
-//! cache, ledger) degrade to cold. A `shutdown` request saves every
-//! shard and removes stale state before the listener closes.
+//! maps to, witness corpora union, and the content-keyed ledger degrades
+//! to cold. A `shutdown` request saves every shard and removes stale
+//! state before the listener closes.
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -44,9 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use leapfrog::engine::{
-    route_fingerprint, STATE_BLAST_FILE, STATE_CORPUS_FILE, STATE_LEDGER_FILE, STATE_MEMO_FILE,
-};
+use leapfrog::engine::{route_fingerprint, STATE_CORPUS_FILE, STATE_LEDGER_FILE, STATE_MEMO_FILE};
 use leapfrog::json::{self, Value};
 use leapfrog::{Engine, EngineConfig, QuerySpec};
 use leapfrog_p4a::ast::{Automaton, StateId};
@@ -96,8 +94,8 @@ impl ShardMeters {
 
 /// How the daemon is set up.
 pub struct ServerOptions {
-    /// The engine configuration (threads, GC, caches, warm capacity),
-    /// applied to every shard.
+    /// The engine configuration (threads, warm capacity), applied to
+    /// every shard.
     pub config: EngineConfig,
     /// Directory for persisted warm state: each shard reloads from and
     /// saves to `shard-<i>/` under it (a layout saved at a different
@@ -220,14 +218,9 @@ fn scan_state(dir: &Path, workers: usize) -> StatePlan {
         }
     }
     found.sort_unstable();
-    let legacy_root = [
-        STATE_BLAST_FILE,
-        STATE_LEDGER_FILE,
-        STATE_MEMO_FILE,
-        STATE_CORPUS_FILE,
-    ]
-    .iter()
-    .any(|f| dir.join(f).exists());
+    let legacy_root = [STATE_LEDGER_FILE, STATE_MEMO_FILE, STATE_CORPUS_FILE]
+        .iter()
+        .any(|f| dir.join(f).exists());
     let exact = found.iter().copied().eq(0..workers);
     if !legacy_root && (found.is_empty() || exact) {
         return StatePlan::Native;
@@ -246,12 +239,7 @@ fn scan_state(dir: &Path, workers: usize) -> StatePlan {
 /// legacy root-level files and `shard-<j>` dirs with `j >= workers`.
 /// Called after a shutdown save, so the next start reloads natively.
 fn cleanup_stale_state(dir: &Path, workers: usize) {
-    for f in [
-        STATE_BLAST_FILE,
-        STATE_LEDGER_FILE,
-        STATE_MEMO_FILE,
-        STATE_CORPUS_FILE,
-    ] {
+    for f in [STATE_LEDGER_FILE, STATE_MEMO_FILE, STATE_CORPUS_FILE] {
         let _ = std::fs::remove_file(dir.join(f));
     }
     if let Ok(rd) = std::fs::read_dir(dir) {
@@ -365,8 +353,8 @@ fn resolve_workers(requested: usize) -> usize {
 
 /// Builds one shard's engine per the state plan: native reload from its
 /// own `shard-<i>/` dir, or a cold engine fed the fingerprint-routed
-/// slice of every merge source (memos re-route; blast cache and ledger
-/// are content-keyed, not routed, and degrade to cold).
+/// slice of every merge source (memos re-route; the ledger is
+/// content-keyed, not routed, and degrades to cold).
 fn build_shard_engine(
     config: EngineConfig,
     state_dir: Option<&Path>,
@@ -487,7 +475,6 @@ fn shard_stats(engine: &Engine) -> EngineStatsReply {
     EngineStatsReply {
         stats: engine.stats().clone(),
         ledger_len: engine.ledger_len(),
-        cache_entries: engine.shared_cache().stats().entries,
         state_report: engine.state_report().map(String::from),
     }
 }

@@ -12,11 +12,12 @@ use leapfrog::json;
 use leapfrog::{Outcome, RunStats};
 use leapfrog_obs::{PhaseBreakdown, PhaseStat, PHASES};
 use leapfrog_serve::proto::{
-    fleet_stats_from_value, fleet_stats_to_value, outcome_to_value, overloaded_from_value,
-    overloaded_to_value, request_from_value, request_to_value, run_stats_from_value,
-    run_stats_to_value, solver_stats_to_value, verify_reply_from_value, verify_reply_to_value,
-    wire_outcome_from_value, wire_outcome_to_value, wire_witness_of, EngineStatsReply, FleetStats,
-    OverloadScope, Overloaded, PairSpec, Request, VerifyReply, WireOptions, WireOutcome,
+    engine_stats_reply_from_value, engine_stats_reply_to_value, fleet_stats_from_value,
+    fleet_stats_to_value, outcome_to_value, overloaded_from_value, overloaded_to_value,
+    request_from_value, request_to_value, run_stats_from_value, run_stats_to_value,
+    solver_stats_to_value, verify_reply_from_value, verify_reply_to_value, wire_outcome_from_value,
+    wire_outcome_to_value, wire_witness_of, EngineStatsReply, FleetStats, OverloadScope,
+    Overloaded, PairSpec, Request, VerifyReply, WireOptions, WireOutcome,
 };
 use leapfrog_smt::{QueryStats, SolverStats};
 use leapfrog_suite::mutants::mutant_benchmarks;
@@ -245,8 +246,6 @@ fn run_stats_roundtrip_randomized() {
                 blocks_validated: next() % 100_000,
                 session_rebuilds: next() % 50,
                 live_clauses_peak: next() % 1_000_000,
-                blast_cache_hits: next() % 100_000,
-                blast_cache_misses: next() % 100_000,
                 inst_ledger_hits: next() % 10_000,
                 sat: SolverStats {
                     decisions: next() % 1_000_000,
@@ -260,6 +259,7 @@ fn run_stats_roundtrip_randomized() {
                 durations: (0..(next() % 8))
                     .map(|_| Duration::from_nanos(next() % 5_000_000_000))
                     .collect(),
+                ..QueryStats::default()
             },
             phases: random_phases(&mut next),
         };
@@ -297,7 +297,6 @@ fn random_stats_reply(next: &mut impl FnMut() -> u64) -> EngineStatsReply {
             ledger_evictions: next() % 1_000,
         },
         ledger_len: (next() % 100_000) as usize,
-        cache_entries: (next() % 10_000) as usize,
         state_report: if next().is_multiple_of(2) {
             Some(format!("loaded {} memoized verdicts", next() % 500))
         } else {
@@ -390,10 +389,13 @@ fn run_stats_without_wp_calls_decode_as_zero() {
 fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     // Peers that raced SAT solver lanes nested their racing counters
     // (lane count, race/solo counts, an 8-lane win histogram, per-lane
-    // solver counters) under `queries`, right after `queries.sat`, and
+    // solver counters) under `queries`, right after `queries.sat`;
     // peers with an intra-query parallel frontier wrote three more
-    // counters right after `threads`. Such a frame must decode to the
-    // same `RunStats` as the frame without them.
+    // counters right after `threads`; and peers with a cross-query blast
+    // cache wrote its hit and miss counters right after
+    // `queries.live_clauses_peak`, and its size as `cache_entries` right
+    // after `ledger_len` in the engine stats object. Such frames must
+    // decode to the same values as the frames without them.
     let stats = RunStats {
         iterations: 7,
         entailment_checks: 5,
@@ -424,10 +426,20 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
         ),
         ("lane_stats", json::Value::Arr(vec![lane.clone(), lane])),
     ]);
+    // The cache counters those peers wrote.
+    let cache_keys = ["blast_cache_hits", "blast_cache_misses"];
     match field(&mut v, "queries") {
         json::Value::Obj(fields) => {
             let after_sat = fields.iter().position(|(k, _)| k == "sat").unwrap() + 1;
             fields.insert(after_sat, (key.to_string(), racing));
+            let after_peak = fields
+                .iter()
+                .position(|(k, _)| k == "live_clauses_peak")
+                .unwrap()
+                + 1;
+            for (i, k) in cache_keys.iter().enumerate() {
+                fields.insert(after_peak + i, (k.to_string(), json::num(91 + i)));
+            }
         }
         other => panic!("queries is not an object: {}", other.render()),
     }
@@ -444,14 +456,36 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     }
     let older = v.render();
     assert!(older.contains(&format!("\"{key}\": {{")), "{older}");
-    for k in frontier_keys {
+    for k in frontier_keys.iter().chain(&cache_keys) {
         assert!(older.contains(&format!("\"{k}\": ")), "{older}");
     }
     let decoded = run_stats_from_value(&json::parse(&older).expect("frame parses"))
         .expect("a frame with racing counters decodes");
     assert_eq!(run_stats_to_value(&decoded).render(), current);
     assert_eq!(decoded.queries.sat.decisions, 11);
+    assert_eq!(decoded.queries.blast_cache_hits, 0);
     assert_eq!(decoded.iterations, 7);
+
+    let reply = EngineStatsReply {
+        ledger_len: 5,
+        state_report: Some("reloaded".into()),
+        ..EngineStatsReply::default()
+    };
+    let current = engine_stats_reply_to_value(&reply).render();
+    let mut v = engine_stats_reply_to_value(&reply);
+    match &mut v {
+        json::Value::Obj(fields) => {
+            let after = fields.iter().position(|(k, _)| k == "ledger_len").unwrap() + 1;
+            fields.insert(after, ("cache_entries".to_string(), json::num(1234)));
+        }
+        other => panic!("engine stats is not an object: {}", other.render()),
+    }
+    let older = v.render();
+    assert!(older.contains("\"cache_entries\": 1234"), "{older}");
+    let decoded = engine_stats_reply_from_value(&json::parse(&older).expect("frame parses"))
+        .expect("engine stats with cache_entries decode");
+    assert_eq!(decoded, reply);
+    assert_eq!(engine_stats_reply_to_value(&decoded).render(), current);
 }
 
 #[test]

@@ -3,31 +3,16 @@
 //! Every bitvector variable becomes a block of propositional variables (one
 //! per bit, leftmost first). Terms evaluate symbolically to vectors of
 //! [`BBit`]s (constants or SAT literals); equalities and boolean connectives
-//! are Tseitin-encoded onto the [`leapfrog_sat::Solver`].
+//! are Tseitin-encoded straight onto the [`leapfrog_sat::Solver`].
 //!
 //! The context is *incremental*: the CEGAR loop in [`crate::solve`] keeps
 //! one context alive and asserts additional quantifier instantiations as
 //! they are discovered, reusing all learnt clauses.
-//!
-//! # The cross-query blast cache
-//!
-//! Entailment queries re-assert the same premise conjuncts over and over:
-//! the premise set `R` only ever grows during Algorithm 1, so late queries
-//! share almost all of their `∀x⃗ᵢ.ψᵢ` conjuncts with earlier ones. The
-//! encoder is therefore generic over a [`ClauseSink`]: blasting against a
-//! [`Recorder`] produces a [`CnfTemplate`] — the Tseitin clauses over a
-//! *canonical* variable numbering — which a [`SharedBlastCache`] memoizes
-//! by the formula's structural key. Replaying a template into a live
-//! [`BlastContext`] only remaps literals and inserts clauses; the formula
-//! walk, algebraic simplification and gate construction happen once per
-//! distinct conjunct for the whole run, across every query and worker
-//! thread.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use leapfrog_bitvec::BitVec;
-use leapfrog_sat::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
+use leapfrog_sat::{Lit, SolveResult, Solver, SolverStats};
 
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
 
@@ -40,90 +25,53 @@ pub enum BBit {
     Lit(Lit),
 }
 
-/// Where Tseitin clauses go: a live CDCL solver, or a [`Recorder`] that
-/// captures them as a reusable template.
-pub trait ClauseSink {
-    /// Allocates a fresh propositional variable, returned as its positive
-    /// literal.
-    fn fresh_lit(&mut self) -> Lit;
-    /// Adds a clause; `false` means the sink became unsatisfiable at the
-    /// root (recorders never report this — replay decides).
-    fn add_clause(&mut self, lits: &[Lit]) -> bool;
-}
-
-impl ClauseSink for Solver {
-    fn fresh_lit(&mut self) -> Lit {
-        Lit::pos(self.new_var())
-    }
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        Solver::add_clause(self, lits)
-    }
-}
-
-/// A clause sink that records clauses over virtual variable ids instead of
-/// solving, used to build [`CnfTemplate`]s.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    next_var: u32,
-    clauses: Vec<Vec<Lit>>,
-}
-
-impl ClauseSink for Recorder {
-    fn fresh_lit(&mut self) -> Lit {
-        let l = Lit::pos(Var(self.next_var));
-        self.next_var += 1;
-        l
-    }
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.clauses.push(lits.to_vec());
-        true
-    }
-}
-
-/// The blasting engine, generic over the clause sink.
-struct Engine<S> {
-    sink: S,
+/// An incremental bit-blasting context over one CDCL solver.
+#[derive(Default)]
+pub struct BlastContext {
+    solver: Solver,
     var_bits: HashMap<BvVar, Vec<Lit>>,
     /// A literal constrained to be true, used to encode constants.
     true_lit: Option<Lit>,
 }
 
-impl<S: ClauseSink> Engine<S> {
-    fn new(sink: S) -> Self {
-        Engine {
-            sink,
-            var_bits: HashMap::new(),
-            true_lit: None,
-        }
+impl BlastContext {
+    /// Creates an empty context over a fresh solver.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Access to the underlying solver, for statistics.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
     }
 
     fn true_lit(&mut self) -> Lit {
         if let Some(l) = self.true_lit {
             return l;
         }
-        let l = self.sink.fresh_lit();
-        self.sink.add_clause(&[l]);
+        let l = self.fresh();
+        self.solver.add_clause(&[l]);
         self.true_lit = Some(l);
         l
     }
 
     fn fresh(&mut self) -> Lit {
-        self.sink.fresh_lit()
+        Lit::pos(self.solver.new_var())
     }
 
     /// The SAT literals representing `v`'s bits, allocating on first use.
-    fn bits_of_var(&mut self, decls: &Declarations, v: BvVar) -> Vec<Lit> {
+    pub fn bits_of_var(&mut self, decls: &Declarations, v: BvVar) -> Vec<Lit> {
         if let Some(bits) = self.var_bits.get(&v) {
             return bits.clone();
         }
         let w = decls.width(v);
-        let bits: Vec<Lit> = (0..w).map(|_| self.sink.fresh_lit()).collect();
+        let bits: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
         self.var_bits.insert(v, bits.clone());
         bits
     }
 
     /// Symbolically evaluates a term to its bit representation.
-    fn blast_term(&mut self, decls: &Declarations, t: &Term) -> Vec<BBit> {
+    pub fn blast_term(&mut self, decls: &Declarations, t: &Term) -> Vec<BBit> {
         match t {
             Term::Lit(bv) => bv.iter().map(BBit::Const).collect(),
             Term::Var(v) => self
@@ -164,10 +112,10 @@ impl<S: ClauseSink> Engine<S> {
                 }
                 let g = self.fresh();
                 // g <-> (x <-> y)
-                self.sink.add_clause(&[!g, !x, y]);
-                self.sink.add_clause(&[!g, x, !y]);
-                self.sink.add_clause(&[g, x, y]);
-                self.sink.add_clause(&[g, !x, !y]);
+                self.solver.add_clause(&[!g, !x, y]);
+                self.solver.add_clause(&[!g, x, !y]);
+                self.solver.add_clause(&[g, x, y]);
+                self.solver.add_clause(&[g, !x, !y]);
                 BBit::Lit(g)
             }
         }
@@ -191,18 +139,22 @@ impl<S: ClauseSink> Engine<S> {
                 // g -> l_i for all i; (and l_i) -> g.
                 let mut last = vec![g];
                 for &l in &lits {
-                    self.sink.add_clause(&[!g, l]);
+                    self.solver.add_clause(&[!g, l]);
                     last.push(!l);
                 }
-                self.sink.add_clause(&last);
+                self.solver.add_clause(&last);
                 BBit::Lit(g)
             }
         }
     }
 
     /// Tseitin-encodes a quantifier-free formula, returning a representative
-    /// bit. Panics on quantifiers.
-    fn blast_formula(&mut self, decls: &Declarations, f: &Formula) -> BBit {
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the formula contains a quantifier.
+    pub fn blast_formula(&mut self, decls: &Declarations, f: &Formula) -> BBit {
         match f {
             Formula::Const(b) => BBit::Const(*b),
             Formula::Eq(a, b) => {
@@ -246,135 +198,18 @@ impl<S: ClauseSink> Engine<S> {
         }
     }
 
-    /// Asserts a quantifier-free formula (forces it true). `false` means
-    /// the sink became unsatisfiable at the root.
-    fn assert_formula(&mut self, decls: &Declarations, f: &Formula) -> bool {
-        match self.blast_formula(decls, f) {
-            BBit::Const(true) => true,
-            BBit::Const(false) => {
-                let t = self.true_lit();
-                self.sink.add_clause(&[!t])
-            }
-            BBit::Lit(l) => self.sink.add_clause(&[l]),
-        }
-    }
-}
-
-fn negate(b: BBit) -> BBit {
-    match b {
-        BBit::Const(c) => BBit::Const(!c),
-        BBit::Lit(l) => BBit::Lit(!l),
-    }
-}
-
-/// An incremental bit-blasting context over one CDCL solver.
-pub struct BlastContext {
-    engine: Engine<Solver>,
-}
-
-impl Default for BlastContext {
-    fn default() -> Self {
-        Self::new(SolverConfig::default())
-    }
-}
-
-impl BlastContext {
-    /// Creates an empty context over a solver with the given
-    /// configuration.
-    pub fn new(cfg: SolverConfig) -> Self {
-        BlastContext {
-            engine: Engine::new(Solver::with_config(cfg)),
-        }
-    }
-
-    /// Access to the underlying solver, for statistics.
-    pub fn solver(&self) -> &Solver {
-        &self.engine.sink
-    }
-
-    /// The SAT literals representing `v`'s bits, allocating on first use.
-    pub fn bits_of_var(&mut self, decls: &Declarations, v: BvVar) -> Vec<Lit> {
-        self.engine.bits_of_var(decls, v)
-    }
-
-    /// Symbolically evaluates a term to its bit representation.
-    pub fn blast_term(&mut self, decls: &Declarations, t: &Term) -> Vec<BBit> {
-        self.engine.blast_term(decls, t)
-    }
-
-    /// Tseitin-encodes a quantifier-free formula, returning a representative
-    /// bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formula contains a quantifier.
-    pub fn blast_formula(&mut self, decls: &Declarations, f: &Formula) -> BBit {
-        self.engine.blast_formula(decls, f)
-    }
-
     /// Asserts a quantifier-free formula (forces it true).
     ///
     /// Returns `false` if the context became unsatisfiable at the root.
     pub fn assert_formula(&mut self, decls: &Declarations, f: &Formula) -> bool {
-        self.engine.assert_formula(decls, f)
-    }
-
-    /// Asserts a quantifier-free formula through the blast cache: the
-    /// formula's CNF template is computed at most once per structural key
-    /// for the cache's whole lifetime and replayed here with fresh
-    /// auxiliary variables. Returns `(still_satisfiable, cache_hit)`.
-    /// When the cache is disabled ([`SharedBlastCache::with_enabled`]
-    /// with `false`), this degrades to a direct uncached assert.
-    pub fn assert_formula_cached(
-        &mut self,
-        decls: &Declarations,
-        f: &Formula,
-        cache: &SharedBlastCache,
-    ) -> (bool, bool) {
-        if cache.disabled {
-            return (self.assert_formula(decls, f), false);
+        match self.blast_formula(decls, f) {
+            BBit::Const(true) => true,
+            BBit::Const(false) => {
+                let t = self.true_lit();
+                self.solver.add_clause(&[!t])
+            }
+            BBit::Lit(l) => self.solver.add_clause(&[l]),
         }
-        let (template, vars, hit) = cache.lookup_or_build(decls, f);
-        (self.replay_template(decls, &template, &vars), hit)
-    }
-
-    /// Replays a CNF template: the template's canonical input bits map onto
-    /// `vars`' live bits (allocated on first use), auxiliary template
-    /// variables get fresh SAT variables, and every clause is inserted.
-    fn replay_template(
-        &mut self,
-        decls: &Declarations,
-        template: &CnfTemplate,
-        vars: &[BvVar],
-    ) -> bool {
-        let mut map: Vec<Lit> = Vec::with_capacity(template.num_vars as usize);
-        for v in vars {
-            map.extend(self.engine.bits_of_var(decls, *v));
-        }
-        debug_assert_eq!(
-            map.len(),
-            template.input_bits,
-            "cache key collision: input widths do not match the template"
-        );
-        while map.len() < template.num_vars as usize {
-            let l = self.engine.fresh();
-            map.push(l);
-        }
-        let mut ok = true;
-        let mut mapped = Vec::new();
-        for clause in &template.clauses {
-            mapped.clear();
-            mapped.extend(clause.iter().map(|l| {
-                let base = map[l.var().0 as usize];
-                if l.is_neg() {
-                    !base
-                } else {
-                    base
-                }
-            }));
-            ok &= self.engine.sink.add_clause(&mapped);
-        }
-        ok
     }
 
     /// A fresh, unconstrained SAT literal — used by incremental callers as
@@ -382,13 +217,13 @@ impl BlastContext {
     /// solve under the assumption, then retire the query by asserting the
     /// negation (see [`crate::solve`] / `leapfrog_logic`'s guard sessions).
     pub fn fresh_activation_lit(&mut self) -> Lit {
-        self.engine.fresh()
+        self.fresh()
     }
 
     /// Adds a raw clause over literals previously handed out by this
     /// context. Returns `false` if the solver became unsatisfiable.
     pub fn add_clause_raw(&mut self, lits: &[Lit]) -> bool {
-        self.engine.sink.add_clause(lits)
+        self.solver.add_clause(lits)
     }
 
     /// Solves the asserted constraints; on SAT, extracts a model for all
@@ -401,15 +236,14 @@ impl BlastContext {
     /// hold for this call only, so activation-gated clause groups can be
     /// switched on per query without permanent assertion.
     pub fn solve_with(&mut self, decls: &Declarations, assumptions: &[Lit]) -> Option<Model> {
-        match self.engine.sink.solve(assumptions) {
+        match self.solver.solve(assumptions) {
             SolveResult::Unsat => None,
             SolveResult::Sat => {
                 let mut m = Model::new();
-                let Engine { sink, var_bits, .. } = &self.engine;
-                for (&v, bits) in var_bits.iter() {
+                for (&v, bits) in self.var_bits.iter() {
                     let mut bv = BitVec::zeros(bits.len());
                     for (i, &l) in bits.iter().enumerate() {
-                        if sink.lit_value(l) == Some(true) {
+                        if self.solver.lit_value(l) == Some(true) {
                             bv.set(i, true);
                         }
                     }
@@ -429,49 +263,34 @@ impl BlastContext {
 
     /// Number of SAT variables allocated (diagnostics).
     pub fn num_sat_vars(&self) -> usize {
-        self.engine.sink.num_vars()
+        self.solver.num_vars()
     }
 
     /// Number of live clauses in the underlying solver (original + learnt,
     /// minus deleted), in O(1).
     pub fn num_clauses(&self) -> usize {
-        self.engine.sink.num_clauses()
+        self.solver.num_clauses()
     }
 
     /// Monotone count of root-level clause insertions, in O(1) — the
     /// growth meter incremental sessions budget their rebuilds against.
     pub fn clauses_added(&self) -> u64 {
-        self.engine.sink.clauses_added()
+        self.solver.clauses_added()
     }
 }
 
-/// The CNF of one quantifier-free formula over a canonical variable
-/// numbering: ids `0..input_bits` are the bits of the formula's distinct
-/// bitvector variables in first-occurrence order (leftmost bit first), the
-/// remaining ids are Tseitin auxiliaries in allocation order.
-#[derive(Debug)]
-pub struct CnfTemplate {
-    /// Total input bits (sum of the distinct variables' widths).
-    input_bits: usize,
-    /// Total template variables (input bits + auxiliaries).
-    num_vars: u32,
-    /// The recorded clauses, over template variable ids.
-    clauses: Vec<Vec<Lit>>,
-}
-
-impl CnfTemplate {
-    /// Number of clauses the template replays.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+fn negate(b: BBit) -> BBit {
+    match b {
+        BBit::Const(c) => BBit::Const(!c),
+        BBit::Lit(l) => BBit::Lit(!l),
     }
 }
 
 /// Builds the canonical structural key of a quantifier-free formula and
 /// collects its distinct variables in first-occurrence order. Two formulas
 /// share a key iff they are identical up to a width-preserving renaming of
-/// variables — exactly when they blast to the same clauses. Shared with
-/// [`crate::solve`]'s instantiation ledger, which keys `∀`-block bodies the
-/// same way so validation verdicts transfer across solver contexts.
+/// variables. [`crate::solve`]'s instantiation ledger keys `∀`-block bodies
+/// this way, so validation verdicts transfer across solver contexts.
 pub(crate) fn canonical_key(decls: &Declarations, f: &Formula, vars: &mut Vec<BvVar>) -> String {
     fn term(t: &Term, decls: &Declarations, vars: &mut Vec<BvVar>, out: &mut String) {
         match t {
@@ -539,7 +358,7 @@ pub(crate) fn canonical_key(decls: &Declarations, f: &Formula, vars: &mut Vec<Bv
                 out.push(')');
             }
             Formula::Forall(_, _) => {
-                panic!("quantified formula reached the blast cache; expand quantifiers first")
+                panic!("quantified formula reached canonical_key; expand quantifiers first")
             }
         }
     }
@@ -548,232 +367,23 @@ pub(crate) fn canonical_key(decls: &Declarations, f: &Formula, vars: &mut Vec<Bv
     out
 }
 
-/// Blasts `f` against a [`Recorder`] with `vars`' bits pre-allocated as the
-/// canonical input block, producing a replayable template.
-fn build_template(decls: &Declarations, f: &Formula, vars: &[BvVar]) -> CnfTemplate {
-    let mut engine = Engine::new(Recorder::default());
-    let mut input_bits = 0;
-    for v in vars {
-        let bits = engine.bits_of_var(decls, *v);
-        input_bits += bits.len();
-    }
-    engine.assert_formula(decls, f);
-    CnfTemplate {
-        input_bits,
-        num_vars: engine.sink.next_var,
-        clauses: engine.sink.clauses,
-    }
-}
-
-/// A snapshot of the cache contents. Hit/miss *rates* are accounted by
-/// the callers (per solver / per session, merged into [`crate::QueryStats`])
-/// — the cache itself only tracks what it stores.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// Distinct templates currently stored.
-    pub entries: usize,
-}
-
-/// A structural CNF cache shared across queries — and across worker
-/// threads — behind an `Arc<Mutex<…>>`. Templates are pure functions of
-/// the canonical key, so concurrent duplicate builds are harmless (last
-/// insert wins, both are identical). A cache built with
-/// [`SharedBlastCache::with_enabled`]`(false)` is disabled — every cached
-/// assert degrades to a direct one — as an ablation knob; results are
-/// identical either way.
-#[derive(Debug, Clone, Default)]
-pub struct SharedBlastCache {
-    inner: Arc<Mutex<CacheInner>>,
-    disabled: bool,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<String, Arc<CnfTemplate>>,
-}
-
-impl SharedBlastCache {
-    /// Creates an empty, enabled cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache with caching explicitly on or off — the
-    /// engine builds its cache from `EngineConfig::blast_cache` this way,
-    /// and it is the only way to turn caching off.
-    pub fn with_enabled(enabled: bool) -> Self {
-        SharedBlastCache {
-            inner: Arc::default(),
-            disabled: !enabled,
-        }
-    }
-
-    /// Looks up (or builds and stores) the CNF template for `f`. Returns
-    /// the template, the formula's distinct variables in canonical order,
-    /// and whether the lookup hit.
-    fn lookup_or_build(
-        &self,
-        decls: &Declarations,
-        f: &Formula,
-    ) -> (Arc<CnfTemplate>, Vec<BvVar>, bool) {
-        let mut vars = Vec::new();
-        let key = canonical_key(decls, f, &mut vars);
-        if let Some(t) = self.inner.lock().unwrap().map.get(&key).cloned() {
-            return (t, vars, true);
-        }
-        // Build outside the lock: templates are pure, a racing duplicate
-        // build is wasted work, not an error.
-        let template = Arc::new(build_template(decls, f, &vars));
-        let mut inner = self.inner.lock().unwrap();
-        let entry = inner.map.entry(key).or_insert_with(|| template.clone());
-        let entry = entry.clone();
-        (entry, vars, false)
-    }
-
-    /// A snapshot of the cache contents.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.inner.lock().unwrap().map.len(),
-        }
-    }
-
-    /// Whether this cache was built disabled
-    /// ([`SharedBlastCache::with_enabled`] with `false`).
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
-
-    /// Serializes every stored template to a line-based text format:
-    /// a `t <num_vars> <input_bits> <key>` header per template followed by
-    /// one DIMACS-style `c <lit>…` line per clause (positive literal `v` is
-    /// `v+1`, negated is `-(v+1)`). Templates are sorted by key so the
-    /// output is deterministic.
-    pub fn export_text(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let mut keys: Vec<&String> = inner.map.keys().collect();
-        keys.sort();
-        let mut out = String::from("# leapfrog-blast-cache v1\n");
-        for key in keys {
-            let t = &inner.map[key];
-            out.push_str(&format!("t {} {} {key}\n", t.num_vars, t.input_bits));
-            for clause in &t.clauses {
-                out.push('c');
-                for l in clause {
-                    let code = l.var().0 as i64 + 1;
-                    out.push(' ');
-                    out.push_str(&(if l.is_neg() { -code } else { code }).to_string());
-                }
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Loads templates from [`SharedBlastCache::export_text`] output,
-    /// merging into the current contents (existing keys win — templates
-    /// are pure functions of the key, so the resident copy is identical).
-    /// Returns the number of templates read. A disabled cache ignores the
-    /// import and reads zero templates.
-    pub fn import_text(&self, text: &str) -> Result<usize, String> {
-        if self.disabled {
-            return Ok(0);
-        }
-        let mut read = 0;
-        let mut current: Option<(String, CnfTemplate)> = None;
-        let mut inner = self.inner.lock().unwrap();
-        let flush = |current: &mut Option<(String, CnfTemplate)>,
-                     inner: &mut CacheInner,
-                     read: &mut usize| {
-            if let Some((key, template)) = current.take() {
-                inner.map.entry(key).or_insert_with(|| Arc::new(template));
-                *read += 1;
-            }
-        };
-        for (i, line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("t ") {
-                flush(&mut current, &mut inner, &mut read);
-                let mut parts = rest.splitn(3, ' ');
-                let num_vars: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("line {line_no}: bad template var count"))?;
-                let input_bits: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("line {line_no}: bad template input width"))?;
-                let key = parts
-                    .next()
-                    .ok_or_else(|| format!("line {line_no}: missing template key"))?
-                    .to_string();
-                current = Some((
-                    key,
-                    CnfTemplate {
-                        input_bits,
-                        num_vars,
-                        clauses: Vec::new(),
-                    },
-                ));
-            } else if let Some(rest) = line.strip_prefix('c') {
-                let (_, template) = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {line_no}: clause before any template"))?;
-                let clause: Vec<Lit> = rest
-                    .split_whitespace()
-                    .map(|tok| {
-                        let code: i64 = tok
-                            .parse()
-                            .map_err(|_| format!("line {line_no}: bad literal {tok:?}"))?;
-                        if code == 0 || code.unsigned_abs() > template.num_vars as u64 {
-                            return Err(format!("line {line_no}: literal {code} out of range"));
-                        }
-                        let v = Var(code.unsigned_abs() as u32 - 1);
-                        Ok(if code < 0 { Lit::neg(v) } else { Lit::pos(v) })
-                    })
-                    .collect::<Result<_, String>>()?;
-                if clause.is_empty() {
-                    return Err(format!("line {line_no}: empty clause"));
-                }
-                template.clauses.push(clause);
-            } else {
-                return Err(format!("line {line_no}: unrecognized cache line"));
-            }
-        }
-        flush(&mut current, &mut inner, &mut read);
-        Ok(read)
-    }
-}
-
-/// Convenience: checks satisfiability of a single quantifier-free formula
-/// under the default solver configuration.
+/// Convenience: checks satisfiability of a single quantifier-free formula.
 pub fn sat_qf(decls: &Declarations, f: &Formula) -> Option<Model> {
-    sat_qf_counting(decls, SolverConfig::default(), f).0
+    sat_qf_counting(decls, f).0
 }
 
-/// [`sat_qf`] with an explicit solver configuration and the short-lived
-/// context's CDCL counters handed back, so callers (the CEGAR validation
-/// path) can fold the work into their query statistics instead of losing
-/// it with the context.
-pub fn sat_qf_counting(
-    decls: &Declarations,
-    cfg: SolverConfig,
-    f: &Formula,
-) -> (Option<Model>, SolverStats) {
+/// [`sat_qf`] with the short-lived context's CDCL counters handed back, so
+/// callers (the CEGAR validation path) can fold the work into their query
+/// statistics instead of losing it with the context.
+pub fn sat_qf_counting(decls: &Declarations, f: &Formula) -> (Option<Model>, SolverStats) {
     debug_assert!(f.is_quantifier_free());
-    let mut ctx = BlastContext::new(cfg);
+    let mut ctx = BlastContext::new();
     if !ctx.assert_formula(decls, f) {
         return (None, ctx.solver().stats());
     }
     let m = ctx.solve(decls);
     (m, ctx.solver().stats())
 }
-
-#[allow(unused)]
-fn _assert_var_send(_: Var) {}
 
 #[cfg(test)]
 mod tests {
@@ -943,75 +553,27 @@ mod tests {
     }
 
     #[test]
-    fn cached_assertions_match_uncached() {
-        // The same constraints asserted through the cache must behave
-        // identically to direct assertion, across repeated contexts.
-        let mut d = Declarations::new();
-        let x = d.declare("x", 3);
-        let y = d.declare("y", 3);
-        let cache = SharedBlastCache::new();
-        let f1 = Formula::eq(Term::var(x), Term::var(y));
-        let f2 = Formula::not(Formula::eq(Term::var(x), Term::lit(bv("010"))));
-        let mut hits = 0;
-        let mut misses = 0;
-        for round in 0..3 {
-            let mut ctx = BlastContext::default();
-            let (ok1, hit1) = ctx.assert_formula_cached(&d, &f1, &cache);
-            let (ok2, hit2) = ctx.assert_formula_cached(&d, &f2, &cache);
-            assert!(ok1 && ok2);
-            assert_eq!(hit1, round > 0, "first round misses, later rounds hit");
-            assert_eq!(hit2, round > 0);
-            for hit in [hit1, hit2] {
-                if hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            let m = ctx.solve(&d).expect("sat");
-            assert_eq!(m.get(x), m.get(y));
-            assert_ne!(m.get(x), Some(&bv("010")));
-        }
-        assert_eq!(misses, 2);
-        assert_eq!(hits, 4);
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
     fn cache_key_is_width_sensitive() {
-        // Same shape, different widths: must not share a template.
+        // Same shape, different widths: the instantiation ledger must not
+        // share a verdict between them, so their keys differ.
         let mut d = Declarations::new();
         let a = d.declare("a", 2);
         let b = d.declare("b", 3);
-        let cache = SharedBlastCache::new();
-        let fa = Formula::eq(Term::var(a), Term::lit(bv("11")));
-        let fb = Formula::eq(Term::var(b), Term::lit(bv("111")));
-        let mut ctx = BlastContext::default();
-        let (_, hit_a) = ctx.assert_formula_cached(&d, &fa, &cache);
-        let (_, hit_b) = ctx.assert_formula_cached(&d, &fb, &cache);
-        assert!(!hit_a && !hit_b);
-        let m = ctx.solve(&d).expect("sat");
-        assert_eq!(m.get(a), Some(&bv("11")));
-        assert_eq!(m.get(b), Some(&bv("111")));
-    }
-
-    #[test]
-    fn cache_hits_across_variable_renaming() {
-        // x = 10 and y = 10 differ only by variable identity: one template.
-        let mut d = Declarations::new();
-        let x = d.declare("x", 2);
-        let y = d.declare("y", 2);
-        let cache = SharedBlastCache::new();
-        let mut ctx = BlastContext::default();
-        let (_, h1) =
-            ctx.assert_formula_cached(&d, &Formula::eq(Term::var(x), Term::lit(bv("10"))), &cache);
-        let (_, h2) =
-            ctx.assert_formula_cached(&d, &Formula::eq(Term::var(y), Term::lit(bv("10"))), &cache);
-        assert!(!h1);
-        assert!(h2, "renamed formula must reuse the template");
-        let m = ctx.solve(&d).expect("sat");
-        assert_eq!(m.get(x), Some(&bv("10")));
-        assert_eq!(m.get(y), Some(&bv("10")));
+        let mut vars_a = Vec::new();
+        let ka = canonical_key(&d, &Formula::Eq(Term::var(a), Term::var(a)), &mut vars_a);
+        let mut vars_b = Vec::new();
+        let kb = canonical_key(&d, &Formula::Eq(Term::var(b), Term::var(b)), &mut vars_b);
+        assert_ne!(ka, kb);
+        assert_eq!(vars_a, vec![a]);
+        assert_eq!(vars_b, vec![b]);
+        // Renaming to a variable of the same width keeps the key.
+        let c = d.declare("c", 2);
+        let kc = canonical_key(
+            &d,
+            &Formula::Eq(Term::var(c), Term::var(c)),
+            &mut Vec::new(),
+        );
+        assert_eq!(ka, kc);
     }
 
     #[test]
@@ -1020,7 +582,6 @@ mod tests {
         let mut d = Declarations::new();
         let x = d.declare("x", 2);
         let y = d.declare("y", 2);
-        let cache = SharedBlastCache::new();
         let mut vars1 = Vec::new();
         let k1 = canonical_key(&d, &Formula::Eq(Term::var(x), Term::var(y)), &mut vars1);
         let mut vars2 = Vec::new();
@@ -1028,70 +589,5 @@ mod tests {
         assert_ne!(k1, k2);
         assert_eq!(vars1, vec![x, y]);
         assert_eq!(vars2, vec![x]);
-        drop(cache);
-    }
-
-    #[test]
-    fn cache_export_import_round_trips() {
-        // Templates built in one cache must replay identically from a
-        // cache reloaded out of the text format: the first assert through
-        // the imported cache is already a hit, and models agree.
-        let mut d = Declarations::new();
-        let x = d.declare("x", 3);
-        let y = d.declare("y", 3);
-        let cache = SharedBlastCache::with_enabled(true);
-        let f1 = Formula::eq(Term::var(x), Term::var(y));
-        let f2 = Formula::not(Formula::eq(Term::var(x), Term::lit(bv("010"))));
-        let mut ctx = BlastContext::default();
-        ctx.assert_formula_cached(&d, &f1, &cache);
-        ctx.assert_formula_cached(&d, &f2, &cache);
-        let text = cache.export_text();
-
-        let reloaded = SharedBlastCache::with_enabled(true);
-        assert_eq!(reloaded.import_text(&text), Ok(2));
-        assert_eq!(reloaded.stats().entries, 2);
-        // Round trip is stable: exporting the import reproduces the text.
-        assert_eq!(reloaded.export_text(), text);
-        let mut ctx2 = BlastContext::default();
-        let (ok1, hit1) = ctx2.assert_formula_cached(&d, &f1, &reloaded);
-        let (ok2, hit2) = ctx2.assert_formula_cached(&d, &f2, &reloaded);
-        assert!(ok1 && ok2);
-        assert!(hit1 && hit2, "imported templates must serve immediately");
-        let m = ctx2.solve(&d).expect("sat");
-        assert_eq!(m.get(x), m.get(y));
-        assert_ne!(m.get(x), Some(&bv("010")));
-    }
-
-    #[test]
-    fn cache_import_rejects_garbage() {
-        let cache = SharedBlastCache::with_enabled(true);
-        assert!(cache.import_text("t 3 nope key").is_err());
-        assert!(
-            cache.import_text("c 1 2").is_err(),
-            "clause before template"
-        );
-        assert!(cache.import_text("t 2 2 k\nc 5").is_err(), "out of range");
-        assert!(
-            cache.import_text("t 2 2 k\nc 4294967297").is_err(),
-            "a literal overflowing u32 must not truncate into range"
-        );
-        assert!(cache.import_text("bogus").is_err());
-    }
-
-    #[test]
-    fn cached_contradiction_still_unsat() {
-        let mut d = Declarations::new();
-        let x = d.declare("x", 2);
-        let cache = SharedBlastCache::new();
-        let f = Formula::and(
-            Formula::eq(Term::var(x), Term::lit(bv("01"))),
-            Formula::eq(Term::var(x), Term::lit(bv("10"))),
-        );
-        for _ in 0..2 {
-            let mut ctx = BlastContext::default();
-            let (ok, _) = ctx.assert_formula_cached(&d, &f, &cache);
-            // Root-level constant false is detected at replay time.
-            assert!(!ok || ctx.solve(&d).is_none());
-        }
     }
 }

@@ -44,8 +44,8 @@ pub mod smtlib;
 pub mod solve;
 pub mod term;
 
-pub use blast::{BBit, BlastContext, CacheStats, SharedBlastCache};
-pub use leapfrog_sat::{Lit, SolverConfig, SolverStats, LBD_BUCKETS};
+pub use blast::{BBit, BlastContext};
+pub use leapfrog_sat::{Lit, SolverStats, LBD_BUCKETS};
 pub use solve::{
     check_sat, check_valid, instantiate_forall, violates_forall, CheckResult, InstLedger,
     OracleRound, QueryStats, RefinementOracle, SatOutcome, SmtSolver,

@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 use leapfrog_bitvec::BitVec;
 use std::collections::HashMap;
 
-use crate::blast::{canonical_key, sat_qf_counting, BlastContext, SharedBlastCache};
+use crate::blast::{canonical_key, sat_qf_counting, BlastContext};
 use crate::smtlib;
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
-use leapfrog_sat::{SolverConfig, SolverStats};
+use leapfrog_sat::SolverStats;
 
 /// Global metric handles for the solving core. Counters mirror the
 /// per-query [`QueryStats`] fields but accumulate process-wide, so the
@@ -31,9 +31,6 @@ mod meters {
 
     pub static SMT_QUERIES: LazyCounter = LazyCounter::new("leapfrog_smt_queries_total");
     pub static CEGAR_ROUNDS: LazyCounter = LazyCounter::new("leapfrog_cegar_rounds_total");
-    pub static BLAST_CACHE_HITS: LazyCounter = LazyCounter::new("leapfrog_blast_cache_hits_total");
-    pub static BLAST_CACHE_MISSES: LazyCounter =
-        LazyCounter::new("leapfrog_blast_cache_misses_total");
     pub static INST_LEDGER_HITS: LazyCounter = LazyCounter::new("leapfrog_inst_ledger_hits_total");
     pub static INST_LEDGER_EVICTIONS: LazyCounter =
         LazyCounter::new("leapfrog_inst_ledger_evictions_total");
@@ -76,9 +73,10 @@ pub struct QueryStats {
     pub session_rebuilds: u64,
     /// Peak live-clause count observed in any single solver context.
     pub live_clauses_peak: u64,
-    /// Conjuncts whose CNF was replayed from the cross-query blast cache.
+    /// Always 0: every conjunct is blasted directly, and no cross-query
+    /// CNF cache exists. Kept because `perfbench` still reads it.
     pub blast_cache_hits: u64,
-    /// Conjuncts that had to be blasted from scratch (template built).
+    /// Always 0, like [`QueryStats::blast_cache_hits`].
     pub blast_cache_misses: u64,
     /// `∀`-block validations answered by the cross-session instantiation
     /// ledger instead of a quantifier-free solve (sessions sharing a guard
@@ -100,16 +98,6 @@ impl QueryStats {
         self.durations.iter().sum()
     }
 
-    /// The fraction of asserted conjuncts served from the blast cache
-    /// (0.0 when nothing was asserted).
-    pub fn blast_cache_hit_rate(&self) -> f64 {
-        let total = self.blast_cache_hits + self.blast_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.blast_cache_hits as f64 / total as f64
-    }
-
     /// Folds another solver's statistics into this one (used to merge
     /// worker-thread solvers into the main run statistics, in a
     /// deterministic order chosen by the caller).
@@ -120,8 +108,6 @@ impl QueryStats {
         self.blocks_validated += other.blocks_validated;
         self.session_rebuilds += other.session_rebuilds;
         self.live_clauses_peak = self.live_clauses_peak.max(other.live_clauses_peak);
-        self.blast_cache_hits += other.blast_cache_hits;
-        self.blast_cache_misses += other.blast_cache_misses;
         self.inst_ledger_hits += other.inst_ledger_hits;
         self.sat.absorb(&other.sat);
         self.durations.extend(other.durations.iter().copied());
@@ -140,8 +126,8 @@ impl QueryStats {
             blocks_validated: self.blocks_validated - base.blocks_validated,
             session_rebuilds: self.session_rebuilds - base.session_rebuilds,
             live_clauses_peak: self.live_clauses_peak,
-            blast_cache_hits: self.blast_cache_hits - base.blast_cache_hits,
-            blast_cache_misses: self.blast_cache_misses - base.blast_cache_misses,
+            blast_cache_hits: 0,
+            blast_cache_misses: 0,
             inst_ledger_hits: self.inst_ledger_hits - base.inst_ledger_hits,
             sat: self.sat.delta_since(&base.sat),
             durations: self.durations[base.durations.len().min(self.durations.len())..].to_vec(),
@@ -164,43 +150,23 @@ impl QueryStats {
     }
 }
 
-/// A stateful SMT front-end: runs queries, keeps statistics, shares a
-/// cross-query [`SharedBlastCache`], runs every SAT solve under one
-/// [`SolverConfig`], and optionally dumps each query in SMT-LIB 2 format
-/// (mirroring the paper's plugin) when the `LEAPFROG_DUMP_SMT`
-/// environment variable names a directory.
+/// A stateful SMT front-end: runs queries, keeps statistics, and
+/// optionally dumps each query in SMT-LIB 2 format (mirroring the paper's
+/// plugin) when the `LEAPFROG_DUMP_SMT` environment variable names a
+/// directory.
 #[derive(Debug, Default)]
 pub struct SmtSolver {
     stats: QueryStats,
     dump_dir: Option<std::path::PathBuf>,
-    cache: SharedBlastCache,
-    sat: SolverConfig,
 }
 
 impl SmtSolver {
-    /// Creates a solver, honouring `LEAPFROG_DUMP_SMT`, with a fresh blast
-    /// cache and the default solver configuration.
+    /// Creates a solver, honouring `LEAPFROG_DUMP_SMT`.
     pub fn new() -> Self {
-        Self::with_shared_cache(SharedBlastCache::new(), SolverConfig::default())
-    }
-
-    /// Creates a solver that shares an existing blast cache — worker
-    /// threads each build one of these around the main solver's cache, so
-    /// premise CNF blasted by any worker is reused by all — and solves
-    /// under `sat`.
-    pub fn with_shared_cache(cache: SharedBlastCache, sat: SolverConfig) -> Self {
-        let dump_dir = std::env::var_os("LEAPFROG_DUMP_SMT").map(std::path::PathBuf::from);
         SmtSolver {
             stats: QueryStats::default(),
-            dump_dir,
-            cache,
-            sat,
+            dump_dir: std::env::var_os("LEAPFROG_DUMP_SMT").map(std::path::PathBuf::from),
         }
-    }
-
-    /// A clonable handle to this solver's blast cache.
-    pub fn shared_cache(&self) -> SharedBlastCache {
-        self.cache.clone()
     }
 
     /// The statistics accumulated so far.
@@ -214,8 +180,6 @@ impl SmtSolver {
     }
 
     /// Checks validity of `f` (all free variables universally quantified).
-    /// A disabled shared cache bypasses the cross-query blast cache — an
-    /// ablation knob; results are identical either way.
     pub fn check_valid(&mut self, decls: &Declarations, f: &Formula) -> CheckResult {
         let start = Instant::now();
         if let Some(dir) = self.dump_dir.clone() {
@@ -223,7 +187,7 @@ impl SmtSolver {
             let path = dir.join(format!("query_{:05}.smt2", self.stats.queries));
             let _ = std::fs::write(path, smtlib::validity_query(decls, f));
         }
-        let (result, meters) = check_valid_counting(decls, f, self.sat, Some(&self.cache));
+        let (result, meters) = check_valid_counting(decls, f);
         self.stats.queries += 1;
         meters.fold_into(&mut self.stats);
         let elapsed = start.elapsed();
@@ -240,8 +204,6 @@ struct SolveMeters {
     rounds: u64,
     blocks_considered: u64,
     blocks_validated: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     sat: SolverStats,
 }
 
@@ -250,26 +212,18 @@ impl SolveMeters {
         stats.cegar_rounds += self.rounds;
         stats.blocks_considered += self.blocks_considered;
         stats.blocks_validated += self.blocks_validated;
-        stats.blast_cache_hits += self.cache_hits;
-        stats.blast_cache_misses += self.cache_misses;
         stats.sat.absorb(&self.sat);
     }
 }
 
 /// Checks validity of `f`, treating free variables as universally
-/// quantified. Stateless convenience wrapper around [`SmtSolver`] logic
-/// (no cross-query cache, default solver configuration).
+/// quantified. Stateless convenience wrapper around [`SmtSolver`] logic.
 pub fn check_valid(decls: &Declarations, f: &Formula) -> CheckResult {
-    check_valid_counting(decls, f, SolverConfig::default(), None).0
+    check_valid_counting(decls, f).0
 }
 
-fn check_valid_counting(
-    decls: &Declarations,
-    f: &Formula,
-    sat: SolverConfig,
-    cache: Option<&SharedBlastCache>,
-) -> (CheckResult, SolveMeters) {
-    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), sat, cache);
+fn check_valid_counting(decls: &Declarations, f: &Formula) -> (CheckResult, SolveMeters) {
+    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()));
     let result = match outcome {
         SatOutcome::Unsat => CheckResult::Valid,
         SatOutcome::Sat(m) => CheckResult::Invalid(m),
@@ -279,17 +233,12 @@ fn check_valid_counting(
 
 /// Checks satisfiability of `f` (free variables existential). Supports the
 /// `∃∀` fragment: after negation-normalization, `Forall` blocks must have
-/// quantifier-free bodies. Runs under the default solver configuration.
+/// quantifier-free bodies.
 pub fn check_sat(decls: &Declarations, f: &Formula) -> SatOutcome {
-    check_sat_counting(decls, f, SolverConfig::default(), None).0
+    check_sat_counting(decls, f).0
 }
 
-fn check_sat_counting(
-    decls: &Declarations,
-    f: &Formula,
-    sat: SolverConfig,
-    cache: Option<&SharedBlastCache>,
-) -> (SatOutcome, SolveMeters) {
+fn check_sat_counting(decls: &Declarations, f: &Formula) -> (SatOutcome, SolveMeters) {
     let mut decls = decls.clone();
     let nf = nnf(&mut decls, f, true);
 
@@ -299,40 +248,18 @@ fn check_sat_counting(
     let mut foralls: Vec<(Vec<BvVar>, Formula)> = Vec::new();
     split_conjuncts(&nf, &mut qf, &mut foralls);
 
-    let mut ctx = BlastContext::new(sat);
+    let mut ctx = BlastContext::new();
     let mut meters = SolveMeters::default();
-    let assert =
-        |ctx: &mut BlastContext, decls: &Declarations, f: &Formula, m: &mut SolveMeters| -> bool {
-            match cache {
-                Some(c) => {
-                    let (ok, hit) = ctx.assert_formula_cached(decls, f, c);
-                    if hit {
-                        m.cache_hits += 1;
-                        meters::BLAST_CACHE_HITS.inc();
-                    } else {
-                        m.cache_misses += 1;
-                        meters::BLAST_CACHE_MISSES.inc();
-                    }
-                    ok
-                }
-                None => ctx.assert_formula(decls, f),
-            }
-        };
     let mut ok = true;
     for q in &qf {
-        ok &= assert(&mut ctx, &decls, q, &mut meters);
+        ok &= ctx.assert_formula(&decls, q);
     }
     // Seed each forall with the all-zeros instantiation and hand the block
     // to the refinement oracle.
-    let mut oracle = RefinementOracle::new(sat);
+    let mut oracle = RefinementOracle::default();
     for (xs, body) in foralls {
         let seed: Vec<BitVec> = xs.iter().map(|x| BitVec::zeros(decls.width(*x))).collect();
-        ok &= assert(
-            &mut ctx,
-            &decls,
-            &instantiate_forall(&body, &xs, &seed),
-            &mut meters,
-        );
+        ok &= ctx.assert_formula(&decls, &instantiate_forall(&body, &xs, &seed));
         oracle.add_block(xs, body);
     }
     if !ok {
@@ -360,7 +287,7 @@ fn check_sat_counting(
                         return (SatOutcome::Sat(model), meters);
                     }
                     Some(batch) => {
-                        if !assert(&mut ctx, &decls, &batch, &mut meters) {
+                        if !ctx.assert_formula(&decls, &batch) {
                             meters.sat.absorb(&ctx.solver().stats());
                             return (SatOutcome::Unsat, meters);
                         }
@@ -390,8 +317,8 @@ struct OracleBlock {
     canon: Option<BlockCanon>,
 }
 
-/// A `∀`-block's canonical identity: the body's structural key (shared
-/// with the blast cache, so it is insensitive to variable numbering),
+/// A `∀`-block's canonical identity: the body's structural key (from
+/// [`canonical_key`], so it is insensitive to variable numbering),
 /// annotated with which canonical variable positions are bound, plus the
 /// position maps needed to translate valuations and witnesses between this
 /// block's [`BvVar`] numbering and the canonical order.
@@ -674,26 +601,15 @@ pub struct OracleRound {
 ///
 /// Verdicts are exact: a model is reported clean only after every block
 /// either solved clean or matched a previously-clean support valuation.
+#[derive(Default)]
 pub struct RefinementOracle {
     blocks: Vec<OracleBlock>,
-    /// Construction knobs for the short-lived validation solvers.
-    sat_cfg: SolverConfig,
-}
-
-impl Default for RefinementOracle {
-    fn default() -> RefinementOracle {
-        RefinementOracle::new(SolverConfig::default())
-    }
 }
 
 impl RefinementOracle {
-    /// An oracle with no blocks whose validation solves run under
-    /// `sat_cfg`.
-    pub fn new(sat_cfg: SolverConfig) -> RefinementOracle {
-        RefinementOracle {
-            blocks: Vec::new(),
-            sat_cfg,
-        }
+    /// An oracle with no blocks.
+    pub fn new() -> RefinementOracle {
+        RefinementOracle::default()
     }
 
     /// Registers a `∀xs. body` block. The caller is responsible for
@@ -808,14 +724,7 @@ impl RefinementOracle {
                 .zip(&valuation)
                 .map(|(v, val)| (*v, Term::lit(val.clone())))
                 .collect();
-            match refute_closed(
-                decls,
-                self.sat_cfg,
-                &block.xs,
-                &block.body,
-                &map,
-                &mut round.sat,
-            ) {
+            match refute_closed(decls, &block.xs, &block.body, &map, &mut round.sat) {
                 Some(witness) => {
                     if let (Some(ledger), Some(lkey)) = (ledger, lkey) {
                         let canon = block.canon.as_ref().unwrap();
@@ -848,13 +757,12 @@ impl RefinementOracle {
     }
 }
 
-/// If `model` violates `∀xs. body`, returns witness values for `xs`,
-/// solving under `sat_cfg`. The stateless building block of
-/// [`RefinementOracle::validate`] (which adds support indexing and caching
-/// on top of the same core), kept public for one-off checks.
+/// If `model` violates `∀xs. body`, returns witness values for `xs`. The
+/// stateless building block of [`RefinementOracle::validate`] (which adds
+/// support indexing and caching on top of the same core), kept public for
+/// one-off checks.
 pub fn violates_forall(
     decls: &Declarations,
-    sat_cfg: SolverConfig,
     model: &Model,
     xs: &[BvVar],
     body: &Formula,
@@ -871,7 +779,7 @@ pub fn violates_forall(
             map.insert(v, Term::lit(value));
         }
     }
-    refute_closed(decls, sat_cfg, xs, body, &map, &mut SolverStats::default())
+    refute_closed(decls, xs, body, &map, &mut SolverStats::default())
 }
 
 /// Closes `body`'s support variables with `map` and searches for values
@@ -879,14 +787,13 @@ pub fn violates_forall(
 /// [`violates_forall`] and [`RefinementOracle::validate`].
 fn refute_closed(
     decls: &Declarations,
-    sat_cfg: SolverConfig,
     xs: &[BvVar],
     body: &Formula,
     map: &HashMap<BvVar, Term>,
     sat: &mut SolverStats,
 ) -> Option<Vec<BitVec>> {
     let closed = Formula::not(body.subst(map));
-    let (m, solve_stats) = sat_qf_counting(decls, sat_cfg, &closed);
+    let (m, solve_stats) = sat_qf_counting(decls, &closed);
     sat.absorb(&solve_stats);
     let m = m?;
     Some(
@@ -1403,56 +1310,11 @@ mod tests {
     fn solver_stats_accumulate() {
         let mut d = Declarations::new();
         let x = d.declare("x", 4);
-        let mut s = SmtSolver {
-            stats: QueryStats::default(),
-            dump_dir: None,
-            cache: SharedBlastCache::new(),
-            sat: SolverConfig::default(),
-        };
+        let mut s = SmtSolver::default();
         s.check_valid(&d, &Formula::Eq(Term::var(x), Term::var(x)));
         s.check_valid(&d, &Formula::Eq(Term::var(x), Term::lit(bv("0000"))));
         assert_eq!(s.stats().queries, 2);
         assert_eq!(s.stats().durations.len(), 2);
         assert!(s.stats().fraction_within(Duration::from_secs(5)) > 0.99);
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_blast_cache() {
-        // The same premise conjunct across successive queries must be
-        // served from the cache after the first blast, with identical
-        // verdicts throughout.
-        let mut d = Declarations::new();
-        let a = d.declare("a", 3);
-        let b = d.declare("b", 3);
-        let x = d.declare("x", 2);
-        let premise = Formula::forall(
-            vec![x],
-            Formula::Eq(
-                Term::concat(Term::var(a), Term::var(x)),
-                Term::concat(Term::var(b), Term::var(x)),
-            ),
-        );
-        let f = Formula::implies(premise, Formula::Eq(Term::var(a), Term::var(b)));
-        let mut s = SmtSolver::new();
-        for _ in 0..4 {
-            assert!(matches!(s.check_valid(&d, &f), CheckResult::Valid));
-        }
-        let stats = s.stats().clone();
-        assert!(stats.blast_cache_hits > 0, "{stats:?}");
-        assert!(stats.blast_cache_misses > 0, "{stats:?}");
-        assert!(stats.blast_cache_hit_rate() > 0.5, "{stats:?}");
-    }
-
-    #[test]
-    fn shared_cache_is_shared_between_solvers() {
-        let mut d = Declarations::new();
-        let x = d.declare("x", 4);
-        let f = Formula::Eq(Term::var(x), Term::lit(bv("1010")));
-        let mut s1 = SmtSolver::new();
-        assert!(matches!(s1.check_valid(&d, &f), CheckResult::Invalid(_)));
-        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache(), SolverConfig::default());
-        assert!(matches!(s2.check_valid(&d, &f), CheckResult::Invalid(_)));
-        assert_eq!(s2.stats().blast_cache_misses, 0, "{:?}", s2.stats());
-        assert!(s2.stats().blast_cache_hits > 0);
     }
 }

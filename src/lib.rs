@@ -23,8 +23,8 @@
 //! The primary entry point is [`prelude::Engine`]: built once from a
 //! typed [`prelude::EngineConfig`] (builder pattern;
 //! `EngineConfig::from_env()` subsumes every `LEAPFROG_*` variable), it
-//! owns the long-lived state — the shared CNF blast cache, warm per-guard
-//! solver sessions, memoized sums and reachability sets, the
+//! owns the long-lived state — warm per-guard solver sessions, memoized
+//! sums and reachability sets, the
 //! cross-session instantiation ledger, and an optional attached witness
 //! sink — and answers single queries ([`prelude::Engine::check`]) or
 //! whole batches ([`prelude::Engine::check_batch`]) over the
@@ -54,11 +54,6 @@
 //! | Env var | `EngineConfig` field |
 //! |---|---|
 //! | `LEAPFROG_THREADS` | `threads(n)`: `check_batch` workers (`0` = auto) |
-//! | `LEAPFROG_SESSION_GC` | `session_gc_ratio(Some(r))` (`None` = off) |
-//! | `LEAPFROG_SESSION_GC_FLOOR` | `session_gc_floor(n)` |
-//! | `LEAPFROG_STRICT_WITNESS` | `strict_witness(true)` |
-//! | `LEAPFROG_NO_BLAST_CACHE` | `blast_cache(false)` |
-//! | `LEAPFROG_SAT_LBD` | `sat_lbd(false)` when `0` |
 //! | `LEAPFROG_WARM_CAP` | `warm_capacity(n)` (`0` = unbounded) |
 //!
 //! `LEAPFROG_SCALE` and `LEAPFROG_WITNESS_CORPUS` configure the

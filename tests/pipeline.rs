@@ -1,14 +1,13 @@
 //! Integration tests for the guard-indexed entailment pipeline:
 //! bit-identical results and work counters at every thread count,
-//! index-vs-linear-scan agreement, cross-query blast-cache correctness,
-//! and the witness regression corpus loop.
+//! index-vs-linear-scan agreement, and the witness regression corpus loop.
 
 use leapfrog::{Checker, EngineConfig, Options, Outcome, RunStats};
 use leapfrog_logic::lower::{entails_filtered, entails_stateless, lower, lower_filtered};
 use leapfrog_logic::store::RelationStore;
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface::parse;
-use leapfrog_smt::{CheckResult, SmtSolver};
+use leapfrog_smt::SmtSolver;
 use leapfrog_suite::corpus::WitnessCorpus;
 use leapfrog_suite::differential::check_cross_validate_and_record;
 use leapfrog_suite::utility::{mpls, sloppy_strict, state_rearrangement, vlan_init};
@@ -203,133 +202,6 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
 }
 
 #[test]
-fn certificates_and_witnesses_identical_across_session_gc_settings() {
-    // The guard sessions' clause-budget GC must be invisible in results:
-    // certificates byte-identical with GC off, at the default ratio (and
-    // default clause-count floor), and at a pathological ratio with the
-    // floor removed so rebuilds actually fire — at several thread counts.
-    let gc_settings: [(Option<f64>, u64); 3] = [
-        (None, leapfrog::engine::DEFAULT_SESSION_GC_FLOOR),
-        (Some(4.0), leapfrog::engine::DEFAULT_SESSION_GC_FLOOR),
-        (Some(0.001), 0),
-    ];
-    let mut forced_rebuilds = 0u64;
-    for (name, left, ql, right, qr) in equivalent_pairs() {
-        let mut jsons = Vec::new();
-        for (gc, floor) in gc_settings {
-            for threads in [1, 2] {
-                let config = config(threads).session_gc_ratio(gc).session_gc_floor(floor);
-                let mut checker = Checker::with_config(&left, ql, &right, qr, config);
-                match checker.run() {
-                    Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
-                    other => panic!("{name}: expected Equivalent at gc={gc:?}, got {other:?}"),
-                }
-                let stats = checker.stats();
-                if gc.is_none() {
-                    assert_eq!(
-                        stats.session_rebuilds(),
-                        0,
-                        "{name}: GC off must not rebuild"
-                    );
-                }
-                if gc == Some(0.001) && floor == 0 {
-                    forced_rebuilds += stats.session_rebuilds();
-                }
-                assert!(
-                    stats.queries.blocks_validated <= stats.queries.blocks_considered,
-                    "{name}: the oracle can only skip validations: {stats:?}"
-                );
-            }
-        }
-        assert!(
-            jsons.windows(2).all(|w| w[0] == w[1]),
-            "{name}: certificate JSON differs across session-GC settings"
-        );
-    }
-    assert!(
-        forced_rebuilds > 0,
-        "a near-zero GC ratio must force context rebuilds somewhere"
-    );
-
-    // Witnesses too: the sanity pair must render identically under every
-    // GC setting.
-    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
-    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
-    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut rendered = Vec::new();
-    for (gc, floor) in gc_settings {
-        let config = EngineConfig::from_env()
-            .session_gc_ratio(gc)
-            .session_gc_floor(floor);
-        let mut checker = Checker::with_config(&sloppy, ql, &strict, qr, config);
-        match checker.run() {
-            Outcome::NotEquivalent(refutation) => {
-                let w = refutation
-                    .witness()
-                    .unwrap_or_else(|| panic!("witness must confirm at gc={gc:?}"));
-                assert!(w.check());
-                rendered.push(format!("{w}"));
-            }
-            other => panic!("expected NotEquivalent at gc={gc:?}, got {other:?}"),
-        }
-    }
-    assert!(
-        rendered.windows(2).all(|w| w[0] == w[1]),
-        "witness rendering differs across session-GC settings:\n{rendered:?}"
-    );
-}
-
-#[test]
-fn results_are_byte_identical_with_lbd_management_on_and_off() {
-    // The LBD two-tier learnt-clause policy only changes which learnt
-    // clauses the SAT core retains — never a verdict, certificate byte, or
-    // witness byte. Certificates, witnesses, and the query trajectory must
-    // be identical with the policy disabled (activity-only deletion).
-    for (name, left, ql, right, qr) in equivalent_pairs() {
-        let mut jsons = Vec::new();
-        let mut queries = Vec::new();
-        for lbd in [true, false] {
-            let mut checker = Checker::with_config(&left, ql, &right, qr, config(2).sat_lbd(lbd));
-            match checker.run() {
-                Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
-                other => panic!("{name}: expected Equivalent at lbd={lbd}, got {other:?}"),
-            }
-            queries.push(checker.stats().queries.queries);
-        }
-        assert_eq!(
-            jsons[0], jsons[1],
-            "{name}: certificate JSON differs with LBD management off"
-        );
-        assert_eq!(
-            queries[0], queries[1],
-            "{name}: query trajectory differs with LBD management off"
-        );
-    }
-    // And a refuted pair: the rendered witness must survive the toggle.
-    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
-    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
-    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut rendered = Vec::new();
-    for lbd in [true, false] {
-        let mut checker = Checker::with_config(&sloppy, ql, &strict, qr, config(2).sat_lbd(lbd));
-        match checker.run() {
-            Outcome::NotEquivalent(refutation) => {
-                let w = refutation
-                    .witness()
-                    .unwrap_or_else(|| panic!("witness must confirm at lbd={lbd}"));
-                assert!(w.check());
-                rendered.push(format!("{w}"));
-            }
-            other => panic!("expected NotEquivalent at lbd={lbd}, got {other:?}"),
-        }
-    }
-    assert_eq!(
-        rendered[0], rendered[1],
-        "witness rendering differs with LBD management off"
-    );
-}
-
-#[test]
 fn oracle_skips_validations_on_a_real_row() {
     // The variable-indexed oracle must actually save validation solves on
     // a row with quantified premises (blocks_validated < blocks_considered
@@ -387,42 +259,6 @@ fn relation_store_matches_linear_scan_entailment() {
         assert_eq!(q_linear.filtered_premises, q_indexed.filtered_premises);
         assert_eq!(q_linear.goal, q_indexed.goal);
     }
-}
-
-#[test]
-fn blast_cache_consistency_against_stateless_solver() {
-    // The same query family through a caching solver and the stateless
-    // (uncached) entry point must agree on every verdict, while the
-    // caching solver actually hits.
-    let bench = state_rearrangement::state_rearrangement_benchmark();
-    let mut checker = Checker::new(
-        &bench.left,
-        bench.left_start,
-        &bench.right,
-        bench.right_start,
-        Options::default(),
-    );
-    let aut = checker.sum_automaton().clone();
-    let cert = match checker.run() {
-        Outcome::Equivalent(cert) => cert,
-        other => panic!("expected Equivalent, got {other:?}"),
-    };
-    let mut cached = SmtSolver::new();
-    for rho in &cert.relation {
-        let q = lower(&aut, &cert.relation, rho);
-        let with_cache = matches!(cached.check_valid(&q.decls, &q.goal), CheckResult::Valid);
-        let stateless = matches!(
-            leapfrog_smt::check_valid(&q.decls, &q.goal),
-            CheckResult::Valid
-        );
-        assert_eq!(with_cache, stateless);
-        assert!(with_cache);
-    }
-    let stats = cached.stats();
-    assert!(
-        stats.blast_cache_hits > 0,
-        "recurring premises must hit the cache: {stats:?}"
-    );
 }
 
 #[test]
