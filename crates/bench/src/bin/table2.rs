@@ -41,7 +41,7 @@
 //!   *every* row (a warm re-run losing everywhere means engine reuse
 //!   regressed), if the witness corpus regressed, if a redirect_case
 //!   mutant is not refuted with a confirmed witness or lacks its entry
-//!   (engine seconds, `witness_bits`, `original_bits`) in the JSON
+//!   (engine seconds, `witness_bits`) in the JSON
 //!   `mutants` array, or if the run
 //!   regresses against the rolling history baseline (median of the last
 //!   5 comparable snapshots): total runtime above 2× the baseline, or the
@@ -461,9 +461,7 @@ fn main() {
                     std::time::Duration::from_secs_f64(engine_secs),
                     corpus.entries(m.name).len()
                 );
-                refutation
-                    .witness()
-                    .map(|w| (w.packet.len(), w.original_bits))
+                refutation.witness().map(|w| w.packet.len())
             }
             Ok(other) => {
                 failures.push(format!(

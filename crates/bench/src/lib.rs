@@ -2,6 +2,8 @@
 //! (Table 2's Memory column), row runners for every case study, and scaled
 //! -down fixtures for the ablation benchmarks.
 
+#![warn(missing_docs)]
+
 pub mod alloc_track;
 pub mod rows;
 

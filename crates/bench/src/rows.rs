@@ -107,10 +107,9 @@ pub struct MutantResult {
     /// The engine's wall-clock for the check, witness included
     /// (`RunStats::wall_time`).
     pub engine_secs: f64,
-    /// `(witness_bits, original_bits)`: the confirmed witness packet's
-    /// length after and before minimization (`None` when the pair was not
-    /// refuted with a confirmed witness).
-    pub witness_bits: Option<(usize, usize)>,
+    /// The confirmed witness packet's length (`None` when the pair was
+    /// not refuted with a confirmed witness).
+    pub witness_bits: Option<usize>,
 }
 
 /// Runs a plain language-equivalence benchmark through a persistent
@@ -324,15 +323,12 @@ pub fn rows_to_json(
     }
     out.push_str("  ],\n  \"mutants\": [\n");
     for (i, m) in mutants.iter().enumerate() {
-        let (bits, original) = match m.witness_bits {
-            Some((bits, original)) => (bits.to_string(), original.to_string()),
-            None => ("null".into(), "null".into()),
-        };
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"engine_secs\": {:.6}, \"witness_bits\": {bits}, \
-             \"original_bits\": {original}}}{}\n",
+            "    {{\"name\": \"{}\", \"engine_secs\": {:.6}, \"witness_bits\": {}}}{}\n",
             esc(&m.name),
             m.engine_secs,
+            m.witness_bits
+                .map_or_else(|| "null".to_string(), |b| b.to_string()),
             if i + 1 < mutants.len() { "," } else { "" },
         ));
     }
@@ -454,7 +450,7 @@ mod tests {
             MutantResult {
                 name: "m\"1".into(),
                 engine_secs: 0.25,
-                witness_bits: Some((12, 656)),
+                witness_bits: Some(12),
             },
             MutantResult {
                 name: "m2".into(),
@@ -489,8 +485,8 @@ mod tests {
             "\"phases\"",
             "\"batch_parallel_speedup\": 1.5000",
             "\"cores\": 4",
-            "{\"name\": \"m\\\"1\", \"engine_secs\": 0.250000, \"witness_bits\": 12, \"original_bits\": 656},",
-            "{\"name\": \"m2\", \"engine_secs\": 0.500000, \"witness_bits\": null, \"original_bits\": null}\n",
+            "{\"name\": \"m\\\"1\", \"engine_secs\": 0.250000, \"witness_bits\": 12},",
+            "{\"name\": \"m2\", \"engine_secs\": 0.500000, \"witness_bits\": null}\n",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

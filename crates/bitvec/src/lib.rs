@@ -21,6 +21,8 @@
 //! assert_eq!(v.to_string(), "1011001");
 //! ```
 
+#![warn(missing_docs)]
+
 use std::fmt;
 use std::str::FromStr;
 

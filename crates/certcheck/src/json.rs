@@ -38,11 +38,18 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser and the
+/// decoders after it recurse once per level, so a certificate from
+/// outside must not choose the depth; real certificates nest a few dozen
+/// levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a JSON document, rejecting trailing characters.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -55,6 +62,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -74,8 +83,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -490,4 +510,22 @@ pub fn certificate_from_value(v: &Value, aut: &Automaton) -> Result<Certificate,
         init: decode_list("init")?,
         relation: decode_list("relation")?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\": ".repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok() && parse(&objects(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 100_000] {
+            for doc in [arrays(n), objects(n), "[".repeat(n)] {
+                let e = parse(&doc).unwrap_err();
+                assert!(e.contains("deeper than 256 levels"), "{e}");
+            }
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! The witness pipeline: lift a countermodel into concrete initial stores
 //! and a packet, confirm the disagreement by explicit replay, fall back to
-//! steered packet search when lifting alone is inconclusive, and minimize.
+//! steered packet search when lifting alone is inconclusive, and zero the
+//! packet's unneeded bits.
 //!
 //! # How lifting works
 //!
@@ -33,7 +34,7 @@ use leapfrog_p4a::semantics::{Config, Store};
 use leapfrog_p4a::walk::{accepting_walk_packet, random_walk_packet, Rng};
 use leapfrog_smt::{Declarations, Model};
 
-use crate::minimize::minimize_chunked;
+use crate::minimize::canonicalize;
 use crate::witness::{Disagreement, Refutation, Witness};
 
 /// How many fallback search attempts (per strategy, per side) are made
@@ -107,14 +108,9 @@ pub fn build_witness(
     if init_len > rho.vars.len() {
         return unconfirmed("initial conjunct has more variables than the violated relation");
     }
-    // Each wp-appended variable is one leap's worth of bits, so the chunk
-    // lengths (in packet order) double as the leap boundaries the
-    // minimizer's chunk-aligned pre-pass deletes along.
     let mut packet = BitVec::new();
-    let mut leap_chunks: Vec<usize> = Vec::with_capacity(rho.vars.len() - init_len);
     for j in (init_len..rho.vars.len()).rev() {
         packet.extend(&model.value_or_zeros(decls, lowered.conclusion_vars[j]));
-        leap_chunks.push(rho.vars[j]);
     }
     let init_vals: Vec<BitVec> = (0..init_len)
         .map(|j| model.value_or_zeros(decls, lowered.conclusion_vars[j]))
@@ -155,8 +151,8 @@ pub fn build_witness(
         None
     };
 
-    let (packet, leap_chunks, disagreement) = match disagreement {
-        Some(d) => (packet, leap_chunks, d),
+    let (packet, disagreement) = match disagreement {
+        Some(d) => (packet, d),
         None if standard_conjunct => {
             // Lifting was inconclusive (e.g. an unconstrained variable was
             // completed with zeros and the run strayed off the symbolic
@@ -166,10 +162,8 @@ pub fn build_witness(
                 Some(found) => {
                     let e1 = Config::with_store(ql, left_store.clone()).step_word(aut, &found);
                     let e2 = Config::with_store(qr, right_store.clone()).step_word(aut, &found);
-                    // A searched packet has no leap structure to exploit.
                     (
                         found,
-                        Vec::new(),
                         Disagreement::Acceptance {
                             left_accepts: e1.is_accepting(),
                             right_accepts: e2.is_accepting(),
@@ -195,45 +189,27 @@ pub fn build_witness(
         }
     };
 
-    // Minimize while preserving the confirmed disagreement.
-    let original_bits = packet.len();
-    let scratch = Witness::new(
-        aut.clone(),
-        ql,
-        qr,
-        left_store.clone(),
-        right_store.clone(),
-        packet.clone(),
-        trace.clone(),
-        disagreement.clone(),
-        original_bits,
-    );
-    let minimized = minimize_chunked(packet, &leap_chunks, &mut |p| scratch.packet_disagrees(p));
-
-    // Re-derive the recorded verdicts for the minimized packet.
-    let disagreement = match disagreement {
-        Disagreement::Acceptance { .. } => {
-            let (m1, m2) = scratch.replay_packet(&minimized);
-            Disagreement::Acceptance {
-                left_accepts: m1.is_accepting(),
-                right_accepts: m2.is_accepting(),
-            }
-        }
-        other => other,
-    };
-
-    let witness = Witness::new(
+    // Zero the unneeded bits while preserving the confirmed disagreement,
+    // then re-derive the recorded verdicts for the canonical packet.
+    let mut witness = Witness::new(
         aut.clone(),
         ql,
         qr,
         left_store,
         right_store,
-        minimized,
+        packet.clone(),
         trace,
         disagreement,
-        original_bits,
     );
-    debug_assert!(witness.check(), "minimized witness must re-validate");
+    witness.packet = canonicalize(packet, &mut |p| witness.packet_disagrees(p));
+    if let Disagreement::Acceptance { .. } = witness.disagreement {
+        let (m1, m2) = witness.replay_packet(&witness.packet);
+        witness.disagreement = Disagreement::Acceptance {
+            left_accepts: m1.is_accepting(),
+            right_accepts: m2.is_accepting(),
+        };
+    }
+    debug_assert!(witness.check(), "canonical witness must re-validate");
     Refutation::Witness(Box::new(witness))
 }
 

@@ -15,11 +15,11 @@
 //! 3. falls back to steered packet **search** (reusing the workload
 //!    walker in [`leapfrog_p4a::walk`]) when the zero-completion of
 //!    unconstrained model variables strays off the symbolic trace, and
-//! 4. **minimizes** the confirmed packet: a leap-aware pre-pass deletes
-//!    whole packet chunks along the trace's leap boundaries
-//!    ([`minimize::minimize_chunked`]), then bit-level delta debugging
-//!    ([`minimize::minimize`]) finishes the survivor, zeroing irrelevant
-//!    bits for a canonical result. Every candidate packet is replayed
+//! 4. **canonicalizes** the confirmed packet
+//!    ([`minimize::canonicalize`]): it keeps the lifted length — one
+//!    leap-sized chunk per weakest-precondition step of the shortest
+//!    derivation Algorithm 1 found — and zeroes, left to right, every bit
+//!    the disagreement does not need. Every candidate packet is replayed
 //!    state by state ([`Config::run`]); the finished witness is confirmed
 //!    again on the bit-level `δ*` ([`Witness::check`]).
 //!
@@ -33,10 +33,12 @@
 //! [`Store`]: leapfrog_p4a::semantics::Store
 //! [`Config::run`]: leapfrog_p4a::semantics::Config::run
 
+#![warn(missing_docs)]
+
 pub mod engine;
 pub mod minimize;
 pub mod witness;
 
 pub use engine::{build_witness, search_disagreement};
-pub use minimize::{minimize, minimize_chunked};
+pub use minimize::canonicalize;
 pub use witness::{Disagreement, Refutation, Witness};

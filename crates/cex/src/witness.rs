@@ -32,10 +32,10 @@ pub enum Disagreement {
     },
 }
 
-/// A concrete, confirmed, minimized counterexample to an equivalence (or
-/// relational) query: initial stores for both sides, a distinguishing
-/// packet, the symbolic trace that produced it, and the observed
-/// disagreement.
+/// A concrete, confirmed counterexample to an equivalence (or relational)
+/// query: initial stores for both sides, a distinguishing packet with its
+/// unneeded bits zeroed, the symbolic trace that produced it, and the
+/// observed disagreement.
 ///
 /// The witness owns a copy of the sum automaton so it can be replayed —
 /// and re-checked by third parties — without any reference back to the
@@ -52,16 +52,15 @@ pub struct Witness {
     pub left_store: Store,
     /// Initial store of the right run.
     pub right_store: Store,
-    /// The minimized distinguishing packet.
+    /// The distinguishing packet, with every bit the disagreement does
+    /// not need zeroed.
     pub packet: BitVec,
     /// The template-pair trace of the refuted relation, from the root
-    /// guard down to the violated initial conjunct. (The minimized packet
-    /// may legitimately take a shorter path.)
+    /// guard down to the violated initial conjunct. (A packet found by
+    /// steered search may take a different path.)
     pub trace: Vec<TemplatePair>,
     /// What the replay observes.
     pub disagreement: Disagreement,
-    /// The packet length before minimization.
-    pub original_bits: usize,
 }
 
 impl Witness {
@@ -77,7 +76,6 @@ impl Witness {
         packet: BitVec,
         trace: Vec<TemplatePair>,
         disagreement: Disagreement,
-        original_bits: usize,
     ) -> Witness {
         Witness {
             aut,
@@ -88,7 +86,6 @@ impl Witness {
             packet,
             trace,
             disagreement,
-            original_bits,
         }
     }
 
@@ -118,8 +115,8 @@ impl Witness {
 
     /// Replays an arbitrary packet from the witness's initial
     /// configurations state by state ([`Config::run`], which reaches the
-    /// same configurations as [`Witness::replay`]'s `δ*`). Minimization
-    /// replays every candidate packet through it.
+    /// same configurations as [`Witness::replay`]'s `δ*`).
+    /// Canonicalization replays every candidate packet through it.
     pub fn replay_packet(&self, packet: &BitVec) -> (Config, Config) {
         let (c1, c2) = self.initial();
         (c1.run(&self.aut, packet), c2.run(&self.aut, packet))
@@ -167,9 +164,6 @@ impl fmt::Display for Witness {
             self.packet.len(),
             group_bits(&self.packet)
         )?;
-        if self.original_bits > self.packet.len() {
-            writeln!(f, "    (minimized from {} bits)", self.original_bits)?;
-        }
         writeln!(
             f,
             "  left  run: start {}, store: {}",
@@ -266,7 +260,7 @@ fn render_store(aut: &Automaton, store: &Store) -> String {
 /// diagnostic explaining why lifting or confirmation failed.
 #[derive(Debug, Clone)]
 pub enum Refutation {
-    /// A confirmed (and minimized) counterexample. Boxed: a witness owns a
+    /// A confirmed counterexample. Boxed: a witness owns a
     /// copy of the sum automaton and dwarfs the other variant.
     Witness(Box<Witness>),
     /// The countermodel could not be lifted into a confirmed concrete

@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use leapfrog_cex::{build_witness, Refutation, Witness};
+use leapfrog_cex::{build_witness, Refutation};
 use leapfrog_logic::confrel::ConfRel;
 use leapfrog_logic::incremental::SessionPool;
 use leapfrog_logic::lower;
@@ -70,8 +70,6 @@ use crate::stats::RunStats;
 pub const STATE_LEDGER_FILE: &str = "inst_ledger.txt";
 /// File inside a state directory holding the entailment-verdict memos.
 pub const STATE_MEMO_FILE: &str = "warm_memos.json";
-/// File inside a state directory holding the serialized witness corpus.
-pub const STATE_CORPUS_FILE: &str = "corpus.txt";
 
 /// Typed, buildable configuration for an [`Engine`]: the one home of every
 /// engine knob. [`EngineConfig::from_env`] is the only place the
@@ -208,7 +206,8 @@ pub struct PairId(usize, u64);
 /// standard language-equivalence question.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
-    /// Name used for reporting and witness-corpus recording.
+    /// Name used for reporting: a sequential batch labels the member's
+    /// slow-query record with it.
     pub name: String,
     /// The left parser.
     pub left: Automaton,
@@ -254,24 +253,6 @@ pub struct QueryRequest {
     pub query: ConfRel,
     /// The query's shape; every other knob is the engine's.
     pub options: Options,
-}
-
-/// Recipient for confirmed refutation witnesses found by named checks
-/// ([`Engine::check_named`] / [`Engine::check_batch`]). The witness
-/// regression corpus in the evaluation suite implements this, so an
-/// engine can feed it directly.
-pub trait WitnessSink: Send {
-    /// Records a confirmed witness under a query name; returns whether
-    /// the entry was new.
-    fn record(&mut self, name: &str, witness: &Witness) -> bool;
-
-    /// A serialized form of the sink's contents, if it has one —
-    /// [`Engine::save_state`] writes it next to the engine's own state so
-    /// a witness corpus survives a daemon restart. The default sink has
-    /// nothing to persist.
-    fn export_text(&self) -> Option<String> {
-        None
-    }
 }
 
 /// Cumulative reuse counters over an engine's lifetime.
@@ -554,7 +535,6 @@ pub struct Engine {
     stats: EngineStats,
     last_run: RunStats,
     last_batch: Vec<RunStats>,
-    sink: Option<Box<dyn WitnessSink>>,
     state_report: Option<String>,
     /// Label attached to the next query's slow-log record (a suite row
     /// name); falls back to the pair fingerprint when unset.
@@ -667,7 +647,6 @@ impl Engine {
             stats: EngineStats::default(),
             last_run: RunStats::default(),
             last_batch: Vec::new(),
-            sink: None,
             state_report: None,
             query_label: None,
         };
@@ -720,17 +699,6 @@ impl Engine {
         &self.last_batch
     }
 
-    /// Attaches a recipient for confirmed refutation witnesses found by
-    /// named checks (e.g. the evaluation suite's witness corpus).
-    pub fn attach_witness_sink(&mut self, sink: Box<dyn WitnessSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Detaches and returns the witness sink, if one was attached.
-    pub fn take_witness_sink(&mut self) -> Option<Box<dyn WitnessSink>> {
-        self.sink.take()
-    }
-
     /// Verdicts currently recorded in the instantiation ledger.
     pub fn ledger_len(&self) -> usize {
         self.ledger.len()
@@ -743,20 +711,17 @@ impl Engine {
     }
 
     /// Serializes the engine's reloadable warm state into `dir` (created
-    /// if missing): the instantiation ledger's validation verdicts, every
-    /// entailment-verdict memo (keyed by pair fingerprint so a restarted
-    /// engine re-attaches them on intern), and — when the attached
-    /// [`WitnessSink`] has a serialized form — the witness corpus. An
-    /// engine built with [`EngineConfig::with_state_dir`] pointing here
-    /// starts warm: memo and ledger replays need no solver contact.
+    /// if missing): the instantiation ledger's validation verdicts and
+    /// every entailment-verdict memo (keyed by pair fingerprint so a
+    /// restarted engine re-attaches them on intern). An engine built with
+    /// [`EngineConfig::with_state_dir`] pointing here starts warm: memo
+    /// and ledger replays need no solver contact. Any other file in `dir`
+    /// is left alone.
     pub fn save_state(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(STATE_LEDGER_FILE), self.ledger.export_text())?;
         std::fs::write(dir.join(STATE_MEMO_FILE), self.memos_to_json())?;
-        if let Some(text) = self.sink.as_ref().and_then(|s| s.export_text()) {
-            std::fs::write(dir.join(STATE_CORPUS_FILE), text)?;
-        }
         Ok(())
     }
 
@@ -1043,24 +1008,6 @@ impl Engine {
         self.run_prepared_traced(pid, &req, qt)
     }
 
-    /// [`Engine::check`] with a name: a confirmed refutation witness is
-    /// additionally recorded into the attached [`WitnessSink`].
-    pub fn check_named(
-        &mut self,
-        name: &str,
-        left: &Automaton,
-        ql: StateId,
-        right: &Automaton,
-        qr: StateId,
-    ) -> Outcome {
-        self.set_query_label(name);
-        let outcome = self.check(left, ql, right, qr);
-        if let (Some(sink), Some(w)) = (self.sink.as_mut(), outcome.witness()) {
-            sink.record(name, w);
-        }
-        outcome
-    }
-
     /// Runs an elaborated request over a prepared pair. Per-run statistics
     /// land in [`Engine::last_run_stats`].
     pub fn run_prepared(&mut self, pid: PairId, req: &QueryRequest) -> Outcome {
@@ -1223,6 +1170,7 @@ impl Engine {
             // Sequential batch: every query runs on the calling thread,
             // and warm reuse across duplicate specs still applies.
             for (i, s) in specs.iter().enumerate() {
+                self.set_query_label(&s.name);
                 outcomes[i] = Some(self.check(&s.left, s.ql, &s.right, s.qr));
                 members[i] = self.last_run.clone();
                 merged.merge(&self.last_run);
@@ -1345,15 +1293,7 @@ impl Engine {
         self.last_run = merged;
         self.last_batch = members;
         self.enforce_caps();
-        let outcomes: Vec<Outcome> = outcomes.into_iter().map(Option::unwrap).collect();
-        if let Some(sink) = self.sink.as_mut() {
-            for (spec, outcome) in specs.iter().zip(&outcomes) {
-                if let Some(w) = outcome.witness() {
-                    sink.record(&spec.name, w);
-                }
-            }
-        }
-        outcomes
+        outcomes.into_iter().map(Option::unwrap).collect()
     }
 
     /// The template pairs a query over `pid` considers and their
@@ -1612,10 +1552,7 @@ fn query_violation(
             }
             let refutation = build_witness(aut, &chain, &q.decls, &q.vars, &model, diagnostic);
             match &refutation {
-                Refutation::Witness(w) => {
-                    stats.witnesses_confirmed += 1;
-                    stats.witness_bits_minimized += (w.original_bits - w.packet.len()) as u64;
-                }
+                Refutation::Witness(_) => stats.witnesses_confirmed += 1,
                 Refutation::Unconfirmed { .. } => stats.witnesses_unconfirmed += 1,
             }
             Some(refutation)
@@ -1705,13 +1642,21 @@ mod tests {
         assert_eq!(first.last_run_stats().entailment_memo_hits, 0);
         first.save_state(&dir).unwrap();
         // State dirs saved by older builds also hold a `blast_cache.txt`
-        // of CNF templates; a restarted engine ignores it and leaves it.
-        let legacy = dir.join("blast_cache.txt");
-        std::fs::write(
-            &legacy,
-            "# leapfrog-blast-cache v1\nt 3 2 =(v0:2,#11)\nc -3 1\nc -3 2\nc 3 -1 -2\nc 3\n",
-        )
-        .unwrap();
+        // of CNF templates and a `corpus.txt` of witness packets; a
+        // restarted engine ignores both, and saving leaves them as found.
+        let legacy = [
+            (
+                dir.join("blast_cache.txt"),
+                "# leapfrog-blast-cache v1\nt 3 2 =(v0:2,#11)\nc -3 1\nc -3 2\nc 3 -1 -2\nc 3\n",
+            ),
+            (
+                dir.join("corpus.txt"),
+                "# leapfrog-witness-corpus v1\npair toy\npacket 11\nleft -\nright -\n",
+            ),
+        ];
+        for (path, text) in &legacy {
+            std::fs::write(path, text).unwrap();
+        }
 
         // A fresh engine restarted from the saved state replays every
         // verdict from the reloaded memo — zero solver queries — and the
@@ -1719,12 +1664,17 @@ mod tests {
         let mut second = EngineConfig::new().threads(1).with_state_dir(&dir).build();
         let report = second.state_report().expect("state must be reported");
         assert!(!report.contains("skipped"), "{report}");
-        assert!(
-            legacy.exists(),
-            "a leftover blast_cache.txt is never deleted"
-        );
         let warm_cert = cert_of(&second.check(&a, sa, &b, sb));
         assert_eq!(cold_cert, warm_cert);
+        second.save_state(&dir).unwrap();
+        for (path, text) in &legacy {
+            assert_eq!(
+                std::fs::read_to_string(path).unwrap(),
+                *text,
+                "a leftover {} is never touched",
+                path.display()
+            );
+        }
         let stats = second.last_run_stats();
         assert!(
             stats.entailment_memo_hits > 0,

@@ -137,11 +137,17 @@ fn write_escaped(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 // Parsing
 
+/// Deepest array/object nesting [`parse`] accepts: it and the decoders
+/// after it recurse once per level, so outside input must not choose the
+/// depth. Documents this repository writes nest at most about 50 levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a JSON document.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -154,6 +160,8 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -185,8 +193,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -704,6 +726,19 @@ mod tests {
             expr_from_value(&doc("{\"Var\": 4294967295}")).unwrap(),
             BitExpr::Var(VarId(u32::MAX))
         );
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\": ".repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok() && parse(&objects(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 100_000] {
+            for doc in [arrays(n), objects(n), "[".repeat(n)] {
+                let e = parse(&doc).unwrap_err();
+                assert!(e.to_string().contains("deeper than 256 levels"), "{e}");
+            }
+        }
     }
 
     #[test]

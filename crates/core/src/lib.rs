@@ -77,6 +77,8 @@
 //! that `⋀R` is a symbolic bisimulation with leaps entailing the query.
 //! The checker plays the role of the Coq kernel: the search is untrusted.
 
+#![warn(missing_docs)]
+
 pub mod certificate;
 pub mod checker;
 pub mod engine;
@@ -88,7 +90,6 @@ pub use certificate::{Certificate, CertificateError};
 pub use checker::{Checker, Options, Outcome, Property};
 pub use engine::{
     route_fingerprint, Engine, EngineConfig, EngineStats, PairId, QueryRequest, QuerySpec,
-    WitnessSink,
 };
 pub use explicit::{check_explicit, ExplicitResult};
 pub use stats::RunStats;

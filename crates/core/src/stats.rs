@@ -34,7 +34,8 @@ pub struct RunStats {
     /// Refutations whose countermodel could not be lifted into a
     /// confirmed witness.
     pub witnesses_unconfirmed: u64,
-    /// Packet bits removed by witness minimization (delta debugging).
+    /// Always 0: witness packets keep their lifted length (only bits are
+    /// zeroed). Kept because `perfbench` reads it as `cex.bits_removed`.
     pub witness_bits_minimized: u64,
     /// Threads the query ran on: always 1, since a query runs whole on
     /// one thread (0 only in a record that absorbed no run). `perfbench`
@@ -135,10 +136,9 @@ impl RunStats {
     pub fn summary(&self) -> String {
         let witnesses = if self.witnesses_confirmed + self.witnesses_unconfirmed > 0 {
             format!(
-                " witnesses={}/{} minimized_bits={}",
+                " witnesses={}/{}",
                 self.witnesses_confirmed,
                 self.witnesses_confirmed + self.witnesses_unconfirmed,
-                self.witness_bits_minimized,
             )
         } else {
             String::new()

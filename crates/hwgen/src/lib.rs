@@ -29,6 +29,8 @@
 //! evaluation suite); anything else is reported as unsupported rather than
 //! silently miscompiled.
 
+#![warn(missing_docs)]
+
 pub mod backtranslate;
 pub mod compiler;
 pub mod table;

@@ -25,6 +25,8 @@
 //!   filtering as an index lookup instead of a per-query O(|R|) scan, with
 //!   `Arc`-shared entries.
 
+#![warn(missing_docs)]
+
 pub mod confrel;
 pub mod incremental;
 pub mod lower;

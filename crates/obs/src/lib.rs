@@ -24,6 +24,8 @@
 //! `LEAPFROG_SLOW_QUERY_MS=n` arms the slow-query log (implies
 //! tracing). Both are read at engine construction.
 
+#![warn(missing_docs)]
+
 pub mod metrics;
 pub mod trace;
 

@@ -69,6 +69,7 @@ pub struct Counter {
 }
 
 impl Counter {
+    /// A counter at zero.
     pub fn new() -> Counter {
         Counter::default()
     }
@@ -102,28 +103,33 @@ pub struct Gauge {
 }
 
 impl Gauge {
+    /// A gauge at zero.
     pub fn new() -> Gauge {
         Gauge::default()
     }
 
+    /// Sets the value.
     pub fn set(&self, v: i64) {
         if metrics_enabled() {
             self.value.store(v, Ordering::Relaxed);
         }
     }
 
+    /// Adds one.
     pub fn inc(&self) {
         if metrics_enabled() {
             self.value.fetch_add(1, Ordering::Relaxed);
         }
     }
 
+    /// Subtracts one.
     pub fn dec(&self) {
         if metrics_enabled() {
             self.value.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
+    /// The current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -163,6 +169,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    /// A histogram with no observations.
     pub fn new() -> Histogram {
         Histogram::default()
     }
@@ -230,6 +237,7 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    /// A registry with no metrics.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
@@ -309,6 +317,7 @@ pub struct LazyCounter {
 }
 
 impl LazyCounter {
+    /// A handle to the global counter `name`, resolved on first use.
     pub const fn new(name: &'static str) -> LazyCounter {
         LazyCounter {
             name,
@@ -320,14 +329,17 @@ impl LazyCounter {
         self.cell.get_or_init(|| global().counter(self.name))
     }
 
+    /// [`Counter::inc`] on the global counter.
     pub fn inc(&self) {
         self.resolve().inc();
     }
 
+    /// [`Counter::add`] on the global counter.
     pub fn add(&self, n: u64) {
         self.resolve().add(n);
     }
 
+    /// [`Counter::get`] on the global counter.
     pub fn get(&self) -> u64 {
         self.resolve().get()
     }
@@ -340,6 +352,7 @@ pub struct LazyGauge {
 }
 
 impl LazyGauge {
+    /// A handle to the global gauge `name`, resolved on first use.
     pub const fn new(name: &'static str) -> LazyGauge {
         LazyGauge {
             name,
@@ -351,18 +364,22 @@ impl LazyGauge {
         self.cell.get_or_init(|| global().gauge(self.name))
     }
 
+    /// [`Gauge::set`] on the global gauge.
     pub fn set(&self, v: i64) {
         self.resolve().set(v);
     }
 
+    /// [`Gauge::inc`] on the global gauge.
     pub fn inc(&self) {
         self.resolve().inc();
     }
 
+    /// [`Gauge::dec`] on the global gauge.
     pub fn dec(&self) {
         self.resolve().dec();
     }
 
+    /// [`Gauge::get`] on the global gauge.
     pub fn get(&self) -> i64 {
         self.resolve().get()
     }
@@ -375,6 +392,7 @@ pub struct LazyHistogram {
 }
 
 impl LazyHistogram {
+    /// A handle to the global histogram `name`, resolved on first use.
     pub const fn new(name: &'static str) -> LazyHistogram {
         LazyHistogram {
             name,
@@ -386,14 +404,17 @@ impl LazyHistogram {
         self.cell.get_or_init(|| global().histogram(self.name))
     }
 
+    /// [`Histogram::record_ns`] on the global histogram.
     pub fn record_ns(&self, ns: u64) {
         self.resolve().record_ns(ns);
     }
 
+    /// [`Histogram::record`] on the global histogram.
     pub fn record(&self, d: std::time::Duration) {
         self.resolve().record(d);
     }
 
+    /// [`Histogram::snapshot`] of the global histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.resolve().snapshot()
     }
@@ -402,8 +423,11 @@ impl LazyHistogram {
 /// A deterministic point-in-time view of a registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
+    /// Counter totals by metric name.
     pub counters: BTreeMap<String, u64>,
+    /// Gauge values by metric name.
     pub gauges: BTreeMap<String, i64>,
+    /// Histogram views by metric name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 

@@ -98,12 +98,14 @@ pub struct SpanEvent {
     pub id: u64,
     /// Parent span id, `0` for roots.
     pub parent: u64,
+    /// The pipeline phase the span times.
     pub phase: Phase,
     /// Phase-specific index (the `n` of `generation[n]`); `u64::MAX`
     /// when unindexed.
     pub index: u64,
-    /// Start/end offsets from the collector epoch, nanoseconds.
+    /// Start offset from the collector epoch, nanoseconds.
     pub start_ns: u64,
+    /// End offset from the collector epoch, nanoseconds.
     pub end_ns: u64,
     /// Small dense id of the recording thread.
     pub thread: u64,
@@ -135,7 +137,9 @@ pub const SLOW_LOG_CAPACITY: usize = 32;
 pub struct SlowQuery {
     /// Label supplied by the caller (row name, or a pair fingerprint).
     pub label: String,
+    /// The query's wall time, milliseconds.
     pub wall_ms: u64,
+    /// The slow-query threshold it exceeded, milliseconds.
     pub threshold_ms: u64,
     /// Canonical JSON of the span tree (see [`render_span_tree`]).
     pub tree_json: String,
@@ -427,8 +431,11 @@ impl PhaseSnapshot {
 /// Count and total time for one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStat {
+    /// The phase.
     pub phase: Phase,
+    /// Spans of this phase closed.
     pub count: u64,
+    /// Their summed wall time, nanoseconds.
     pub nanos: u64,
 }
 
@@ -437,10 +444,12 @@ pub struct PhaseStat {
 /// only present when nonzero, so equal breakdowns compare equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
+    /// The nonzero phases, in canonical order.
     pub entries: Vec<PhaseStat>,
 }
 
 impl PhaseBreakdown {
+    /// Whether no phase recorded a span.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }

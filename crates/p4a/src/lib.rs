@@ -49,6 +49,8 @@
 //! assert!(Config::initial(&aut, q1).accepts(&aut, &packet));
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod ast;
 pub mod builder;
 pub mod pretty;

@@ -340,6 +340,13 @@ impl<'a> Lexer<'a> {
 
 // ----- parser -----
 
+/// Deepest expression the surface parser accepts: every parenthesis,
+/// `++` and slice adds a level to a leaf's one. The parser and everything
+/// downstream of it recurse once per level, so parser text from outside
+/// must not choose the depth. The suite's expressions nest at most one
+/// parenthesis deep with at most one `++`.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<(Tok, usize, usize)>,
     pos: usize,
@@ -603,23 +610,40 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<CstExpr, ParseError> {
-        let mut e = self.parse_atom()?;
-        while self.peek() == &Tok::PlusPlus {
-            self.next();
-            let rhs = self.parse_atom()?;
-            e = CstExpr::Concat(Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.parse_concat(0).map(|(e, _)| e)
     }
 
-    fn parse_atom(&mut self) -> Result<CstExpr, ParseError> {
-        let mut e = match self.next() {
-            Tok::Ident(s) => CstExpr::Ident(s),
-            Tok::Bits(bv) => CstExpr::Bits(bv),
+    /// `depth + 1`, or an error once that exceeds [`MAX_EXPR_DEPTH`].
+    fn deeper(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth >= MAX_EXPR_DEPTH {
+            return Err(self.error_at(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(depth + 1)
+    }
+
+    /// Parses `atom (++ atom)*` inside `open` parentheses, returning the
+    /// expression and its depth.
+    fn parse_concat(&mut self, open: usize) -> Result<(CstExpr, usize), ParseError> {
+        let (mut e, mut depth) = self.parse_atom(open)?;
+        while self.peek() == &Tok::PlusPlus {
+            self.next();
+            let (rhs, rhs_depth) = self.parse_atom(open)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
+            e = CstExpr::Concat(Box::new(e), Box::new(rhs));
+        }
+        Ok((e, depth))
+    }
+
+    fn parse_atom(&mut self, open: usize) -> Result<(CstExpr, usize), ParseError> {
+        let (mut e, mut depth) = match self.next() {
+            Tok::Ident(s) => (CstExpr::Ident(s), 1),
+            Tok::Bits(bv) => (CstExpr::Bits(bv), 1),
             Tok::LParen => {
-                let inner = self.parse_expr()?;
+                let (inner, depth) = self.parse_concat(self.deeper(open)?)?;
                 self.expect(&Tok::RParen)?;
-                inner
+                (inner, self.deeper(depth)?)
             }
             other => {
                 self.pos -= 1;
@@ -632,9 +656,10 @@ impl Parser {
             self.expect(&Tok::Colon)?;
             let n2 = self.number()? as usize;
             self.expect(&Tok::RBracket)?;
+            depth = self.deeper(depth)?;
             e = CstExpr::Slice(Box::new(e), n1, n2);
         }
-        Ok(e)
+        Ok((e, depth))
     }
 }
 
@@ -985,6 +1010,31 @@ mod tests {
     fn lexer_position_in_errors() {
         let e = parse("parser P {\n  state s {\n    extract(a 2);\n  }\n}").unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn expression_depth_is_bounded() {
+        let select = |e: &str| {
+            parse(&format!(
+                "parser P {{ state s {{ extract(h, 8); select({e}) {{ _ => accept; }} }} }}"
+            ))
+        };
+        let chain = |terms: usize| vec!["h"; terms].join(" ++ ");
+        let parens = |n: usize| format!("{}h{}", "(".repeat(n), ")".repeat(n));
+        let slices = |n: usize| format!("h{}", "[0:7]".repeat(n));
+        // A leaf is one level; each `++`, parenthesis and slice adds one,
+        // so `(63-term chain) ++ h` is 65 deep.
+        for (n, ok) in [
+            (MAX_EXPR_DEPTH, true),
+            (MAX_EXPR_DEPTH + 1, false),
+            (100_000, false),
+        ] {
+            assert_eq!(select(&chain(n)).is_ok(), ok, "chain of {n}");
+            assert_eq!(select(&parens(n - 1)).is_ok(), ok, "{} parentheses", n - 1);
+            assert_eq!(select(&slices(n - 1)).is_ok(), ok, "{} slices", n - 1);
+        }
+        let e = select(&format!("({}) ++ h", chain(MAX_EXPR_DEPTH - 1))).unwrap_err();
+        assert!(e.message.contains("deeper than 64 levels"), "{e}");
     }
 
     #[test]

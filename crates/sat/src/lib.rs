@@ -53,6 +53,8 @@
 //! assert_eq!(s.value(b), Some(true));
 //! ```
 
+#![warn(missing_docs)]
+
 use std::fmt;
 
 pub mod dimacs;

@@ -22,7 +22,6 @@
 
 use leapfrog::{Engine, EngineConfig};
 use leapfrog_serve::proto::outcome_to_value;
-use leapfrog_suite::corpus::WitnessCorpus;
 use leapfrog_suite::{mutants, standard_benchmarks, Benchmark, Scale};
 
 fn rows() -> Vec<Benchmark> {
@@ -36,8 +35,7 @@ fn rows() -> Vec<Benchmark> {
 fn run_pass(engine: &mut Engine, rows: &[Benchmark]) -> Vec<(String, String, u64, u64, bool)> {
     rows.iter()
         .map(|b| {
-            let outcome =
-                engine.check_named(b.name, &b.left, b.left_start, &b.right, b.right_start);
+            let outcome = engine.check(&b.left, b.left_start, &b.right, b.right_start);
             let stats = engine.last_run_stats();
             (
                 b.name.to_string(),
@@ -104,7 +102,6 @@ fn main() {
 
     // Pass 1: cold engine, then save.
     let mut cold = Engine::new(EngineConfig::from_env().with_state_dir(&state_dir));
-    cold.attach_witness_sink(Box::new(WitnessCorpus::new()));
     let first = run_pass(&mut cold, &rows);
     if let Err(e) = cold.save_state(&state_dir) {
         eprintln!("persistence_roundtrip: save_state failed: {e}");
@@ -118,7 +115,6 @@ fn main() {
 
     // Pass 2: a brand-new engine restarted from the saved state.
     let mut restarted = Engine::new(EngineConfig::from_env().with_state_dir(&state_dir));
-    restarted.attach_witness_sink(Box::new(WitnessCorpus::new()));
     match restarted.state_report() {
         Some(report) => println!("pass 2 (restart): {report}"),
         None => {

@@ -22,8 +22,8 @@
 //!   instead of queuing without bound.
 //! * **cross-process persistence**, per shard under `shard-<i>/` in the
 //!   state dir: on `shutdown` each shard serializes its
-//!   instantiation-ledger verdicts, entailment-verdict memos and witness
-//!   corpus, and a restarted daemon reloads them — even at
+//!   instantiation-ledger verdicts and entailment-verdict memos, and a
+//!   restarted daemon reloads them — even at
 //!   a *different* worker count, in which case saved memos re-route by
 //!   fingerprint to their new home shard. Answers stay byte-identical,
 //!   only the wall-clock changes (asserted in `tests/serve.rs`).

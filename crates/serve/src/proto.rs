@@ -66,7 +66,10 @@
 //! `queries.blast_cache_misses` counters, and a `cache_entries` size in
 //! the engine stats object; the cache is gone, so these keys are no
 //! longer written and are ignored when present (the decoded
-//! `blast_cache_*` counters read 0).
+//! `blast_cache_*` counters read 0). Older peers also sent a witness's
+//! pre-minimization packet length as `original_bits`; a witness packet
+//! now always keeps its lifted length, so the key is no longer written and
+//! is ignored when present.
 //!
 //! `metrics` and `slow_log` are answered by the connection thread
 //! directly from the process-global registry/trace collector — they
@@ -431,10 +434,8 @@ pub struct WireWitness {
     pub left_store: Vec<(String, BitVec)>,
     /// Every header of the right run's initial store.
     pub right_store: Vec<(String, BitVec)>,
-    /// The minimized distinguishing packet.
+    /// The distinguishing packet, unneeded bits zeroed.
     pub packet: BitVec,
-    /// The packet length before minimization.
-    pub original_bits: usize,
     /// The template-pair trace of the refuted relation.
     pub trace: Vec<TemplatePair>,
     /// The observed disagreement.
@@ -474,7 +475,6 @@ pub fn wire_witness_of(w: &Witness) -> WireWitness {
         left_store: store(&w.left_store),
         right_store: store(&w.right_store),
         packet: w.packet.clone(),
-        original_bits: w.original_bits,
         trace: w.trace.clone(),
         disagreement: match &w.disagreement {
             Disagreement::Acceptance {
@@ -573,7 +573,6 @@ pub fn wire_witness_to_value(w: &WireWitness) -> Value {
         ("left_store", store_to_value(&w.left_store)),
         ("right_store", store_to_value(&w.right_store)),
         ("packet", json::bitvec_to_value(&w.packet)),
-        ("original_bits", json::num(w.original_bits)),
         (
             "trace",
             Value::Arr(w.trace.iter().map(pair_to_value).collect()),
@@ -618,7 +617,6 @@ pub fn wire_witness_from_value(v: &Value) -> Result<WireWitness, String> {
         left_store: store_from_value(json::get(v, "left_store").map_err(err)?)?,
         right_store: store_from_value(json::get(v, "right_store").map_err(err)?)?,
         packet: json::bitvec_from_value(json::get(v, "packet").map_err(err)?).map_err(err)?,
-        original_bits: json::as_usize(json::get(v, "original_bits").map_err(err)?).map_err(err)?,
         trace: json::as_arr(json::get(v, "trace").map_err(err)?)
             .map_err(err)?
             .iter()

@@ -32,9 +32,10 @@
 //! worker count reloads natively; any other layout (different worker
 //! count, or a pre-fleet single-engine dir) goes through the merge
 //! path: every saved memo re-routes to the shard its fingerprint now
-//! maps to, witness corpora union, and the content-keyed ledger degrades
-//! to cold. A `shutdown` request saves every shard and removes stale
-//! state before the listener closes.
+//! maps to, and the content-keyed ledger degrades to cold. A `shutdown`
+//! request saves every shard and removes stale state before the listener
+//! closes. Files the daemon does not own (a `corpus.txt` or
+//! `blast_cache.txt` left by an older daemon) are ignored and kept.
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -44,12 +45,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use leapfrog::engine::{route_fingerprint, STATE_CORPUS_FILE, STATE_LEDGER_FILE, STATE_MEMO_FILE};
+use leapfrog::engine::{route_fingerprint, STATE_LEDGER_FILE, STATE_MEMO_FILE};
 use leapfrog::json::{self, Value};
 use leapfrog::{Engine, EngineConfig, QuerySpec};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface;
-use leapfrog_suite::corpus::WitnessCorpus;
 use leapfrog_suite::{mutants, standard_benchmarks, Scale};
 
 use crate::proto::{
@@ -195,8 +195,7 @@ enum StatePlan {
     Native,
     /// The layout was saved at a different worker count (or by a
     /// pre-fleet single engine): every listed source dir's memos are
-    /// re-routed by fingerprint into whichever shard now owns them, and
-    /// the witness corpora union.
+    /// re-routed by fingerprint into whichever shard now owns them.
     Merge(Vec<PathBuf>),
 }
 
@@ -218,7 +217,7 @@ fn scan_state(dir: &Path, workers: usize) -> StatePlan {
         }
     }
     found.sort_unstable();
-    let legacy_root = [STATE_LEDGER_FILE, STATE_MEMO_FILE, STATE_CORPUS_FILE]
+    let legacy_root = [STATE_LEDGER_FILE, STATE_MEMO_FILE]
         .iter()
         .any(|f| dir.join(f).exists());
     let exact = found.iter().copied().eq(0..workers);
@@ -239,7 +238,7 @@ fn scan_state(dir: &Path, workers: usize) -> StatePlan {
 /// legacy root-level files and `shard-<j>` dirs with `j >= workers`.
 /// Called after a shutdown save, so the next start reloads natively.
 fn cleanup_stale_state(dir: &Path, workers: usize) {
-    for f in [STATE_LEDGER_FILE, STATE_MEMO_FILE, STATE_CORPUS_FILE] {
+    for f in [STATE_LEDGER_FILE, STATE_MEMO_FILE] {
         let _ = std::fs::remove_file(dir.join(f));
     }
     if let Ok(rd) = std::fs::read_dir(dir) {
@@ -362,35 +361,21 @@ fn build_shard_engine(
     shard: usize,
     workers: usize,
 ) -> Engine {
-    let shard_dir = state_dir.map(|d| d.join(format!("shard-{shard}")));
-    let mut engine = match (plan, &shard_dir) {
-        (StatePlan::Native, Some(dir)) => Engine::new(config.with_state_dir(dir.clone())),
-        _ => Engine::new(config),
-    };
-    let mut corpus = WitnessCorpus::new();
-    match plan {
-        StatePlan::Native => {
-            if let Some(dir) = &shard_dir {
-                if let Ok(c) = WitnessCorpus::load(dir.join(STATE_CORPUS_FILE)) {
-                    corpus = c;
-                }
-            }
+    match (plan, state_dir) {
+        (StatePlan::Native, Some(dir)) => {
+            Engine::new(config.with_state_dir(dir.join(format!("shard-{shard}"))))
         }
-        StatePlan::Merge(sources) => {
+        (StatePlan::Native, None) => Engine::new(config),
+        (StatePlan::Merge(sources), _) => {
+            let mut engine = Engine::new(config);
             let keep = |fp: u128| fp % workers as u128 == shard as u128;
             for src in sources {
                 // Unreadable sources degrade to cold, like load_state.
                 let _ = engine.import_memos_routed(src, &keep);
-                if let Ok(c) = WitnessCorpus::load(src.join(STATE_CORPUS_FILE)) {
-                    corpus.absorb(c);
-                }
             }
+            engine
         }
     }
-    if state_dir.is_some() {
-        engine.attach_witness_sink(Box::new(corpus));
-    }
-    engine
 }
 
 /// The rows a named request resolves against: every standard Table 2 row
@@ -501,7 +486,8 @@ fn run_checks(engine: &mut Engine, checks: Vec<ResolvedCheck>) {
         }
     } else {
         for c in batchable {
-            let outcome = engine.check_named(&c.name, &c.left, c.ql, &c.right, c.qr);
+            engine.set_query_label(&c.name);
+            let outcome = engine.check(&c.left, c.ql, &c.right, c.qr);
             let stats = run_stats_to_value(engine.last_run_stats());
             send(&c.reply, &check_reply(&outcome, stats));
         }
@@ -673,9 +659,8 @@ fn resolve(
             let qr = r
                 .state_by_name(right_start)
                 .ok_or_else(|| format!("right parser has no state {right_start:?}"))?;
-            // A content-derived name keeps witness-corpus entries from
-            // unrelated inline pairs apart (one shared "inline" key would
-            // mix regression packets across automata).
+            // A content-derived name keeps slow-log records of unrelated
+            // inline pairs apart.
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();
             (left, left_start, right, right_start).hash(&mut h);

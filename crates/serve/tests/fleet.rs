@@ -107,6 +107,9 @@ fn state_saved_at_four_workers_warms_a_two_worker_fleet() {
         .filter(|i| dir.join(format!("shard-{i}")).is_dir())
         .count();
     assert!(saved_shards > 0, "shutdown must leave per-shard state dirs");
+    // A witness corpus left at the root by an older daemon is kept.
+    let legacy = dir.join("corpus.txt");
+    std::fs::write(&legacy, "# leapfrog-witness-corpus v1\n").unwrap();
 
     // Pass 2: a 2-shard fleet reloads the same directory (merge path:
     // 4 saved shards re-route onto 2) and must replay memoized verdicts
@@ -125,5 +128,6 @@ fn state_saved_at_four_workers_warms_a_two_worker_fleet() {
     // stale higher-numbered shard dirs, so the next start is native.
     assert!(!dir.join("shard-2").exists());
     assert!(!dir.join("shard-3").exists());
+    assert!(legacy.exists(), "a leftover corpus.txt is never deleted");
     let _ = std::fs::remove_dir_all(&dir);
 }

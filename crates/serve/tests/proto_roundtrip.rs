@@ -14,9 +14,10 @@ use leapfrog_obs::{PhaseBreakdown, PhaseStat, PHASES};
 use leapfrog_serve::proto::{
     engine_stats_reply_from_value, engine_stats_reply_to_value, fleet_stats_from_value,
     fleet_stats_to_value, outcome_to_value, overloaded_from_value, overloaded_to_value,
-    request_from_value, request_to_value, run_stats_from_value, run_stats_to_value,
-    solver_stats_to_value, verify_reply_from_value, verify_reply_to_value, wire_outcome_from_value,
-    wire_outcome_to_value, wire_witness_of, EngineStatsReply, FleetStats, OverloadScope,
+    phases_from_value, query_stats_from_value, read_frame, request_from_value, request_to_value,
+    run_stats_from_value, run_stats_to_value, solver_stats_from_value, solver_stats_to_value,
+    verify_reply_from_value, verify_reply_to_value, wire_outcome_from_value, wire_outcome_to_value,
+    wire_witness_from_value, wire_witness_of, EngineStatsReply, FleetStats, OverloadScope,
     Overloaded, PairSpec, Request, VerifyReply, WireOptions, WireOutcome,
 };
 use leapfrog_smt::{QueryStats, SolverStats};
@@ -93,7 +94,7 @@ fn long_mutant_witnesses_roundtrip() {
         let w = outcome
             .witness()
             .unwrap_or_else(|| panic!("{} must carry a confirmed witness", bench.name));
-        longest = longest.max(w.original_bits.max(w.packet.len()));
+        longest = longest.max(w.packet.len());
         assert_outcome_roundtrip(&outcome, bench.name);
     }
     assert!(
@@ -391,11 +392,13 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     // (lane count, race/solo counts, an 8-lane win histogram, per-lane
     // solver counters) under `queries`, right after `queries.sat`;
     // peers with an intra-query parallel frontier wrote three more
-    // counters right after `threads`; and peers with a cross-query blast
+    // counters right after `threads`; peers with a cross-query blast
     // cache wrote its hit and miss counters right after
     // `queries.live_clauses_peak`, and its size as `cache_entries` right
-    // after `ledger_len` in the engine stats object. Such frames must
-    // decode to the same values as the frames without them.
+    // after `ledger_len` in the engine stats object; and peers with a
+    // segment-deleting witness minimizer wrote a witness's
+    // `original_bits`. Such frames must decode to the same values as the
+    // frames without them.
     let stats = RunStats {
         iterations: 7,
         entailment_checks: 5,
@@ -486,6 +489,27 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
         .expect("engine stats with cache_entries decode");
     assert_eq!(decoded, reply);
     assert_eq!(engine_stats_reply_to_value(&decoded).render(), current);
+
+    // Witnesses from older peers carried the pre-minimization packet
+    // length as `original_bits`, right after `packet`.
+    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
+    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
+    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
+    let outcome = outcome_to_value(&check_language_equivalence(&sloppy, ql, &strict, qr));
+    let current = outcome.render();
+    let mut v = outcome;
+    match witness(&mut v) {
+        json::Value::Obj(fields) => {
+            let after = fields.iter().position(|(k, _)| k == "packet").unwrap() + 1;
+            fields.insert(after, ("original_bits".to_string(), json::num(400)));
+        }
+        other => panic!("witness is not an object: {}", other.render()),
+    }
+    let older = v.render();
+    assert!(older.contains("\"original_bits\": 400"), "{older}");
+    let decoded = wire_outcome_from_value(&json::parse(&older).expect("frame parses"))
+        .expect("a witness with original_bits decodes");
+    assert_eq!(wire_outcome_to_value(&decoded).render(), current);
 }
 
 #[test]
@@ -638,5 +662,132 @@ fn verify_replies_roundtrip() {
     ] {
         let parsed = json::parse(bad).unwrap();
         assert!(verify_reply_from_value(&parsed).is_err(), "{bad}");
+    }
+}
+
+/// Runs every wire decoder on `v`. Each must return `Ok` or `Err`; a
+/// panic fails the test.
+fn decode_everything(v: &json::Value) {
+    let _ = request_from_value(v);
+    let _ = verify_reply_from_value(v);
+    let _ = wire_witness_from_value(v);
+    let _ = wire_outcome_from_value(v);
+    let _ = query_stats_from_value(v);
+    let _ = solver_stats_from_value(v);
+    let _ = phases_from_value(v);
+    let _ = run_stats_from_value(v);
+    let _ = engine_stats_reply_from_value(v);
+    let _ = fleet_stats_from_value(v);
+    let _ = overloaded_from_value(v);
+    let _ = json::certificate_from_value(v);
+}
+
+/// Replaces one random subtree of `v` with `donor` (often of another
+/// type), a hostile scalar, or itself nested deep.
+fn mutate(v: &mut json::Value, donor: &json::Value, next: &mut impl FnMut(usize) -> usize) {
+    let mut children: Vec<&mut json::Value> = match v {
+        json::Value::Arr(items) => items.iter_mut().collect(),
+        json::Value::Obj(fields) => fields.iter_mut().map(|(_, v)| v).collect(),
+        _ => Vec::new(),
+    };
+    if !children.is_empty() && next(4) > 0 {
+        let i = next(children.len());
+        return mutate(children.swap_remove(i), donor, next);
+    }
+    let hostile = "[1e300, -1, 4294967296, 18446744073709551616, 0.5, 1e400, null, true, \"\"]";
+    let hostile = json::parse(hostile).unwrap();
+    let hostile = json::as_arr(&hostile).unwrap();
+    *v = match next(3) {
+        0 => donor.clone(),
+        1 => hostile[next(hostile.len())].clone(),
+        _ => (0..1 + next(200)).fold(v.clone(), |inner, _| json::Value::Arr(vec![inner])),
+    };
+}
+
+/// Real frames of every kind the protocol carries.
+fn real_frames() -> Vec<String> {
+    let small = "parser A { state s { extract(h, 1); select(h) { 0b1 => accept; _ => reject; } } }";
+    let aut = leapfrog_p4a::surface::parse(small).unwrap();
+    let q = aut.state_by_name("s").unwrap();
+    let Outcome::Equivalent(cert) = check_language_equivalence(&aut, q, &aut, q) else {
+        panic!("a parser is equivalent to itself");
+    };
+    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
+    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
+    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
+    let refuted = check_language_equivalence(&sloppy, ql, &strict, qr);
+    let pair = format!("{{\"inline\": {{\"left\": \"{small}\", \"left_start\": \"s\", \"right\": \"{small}\", \"right_start\": \"s\"}}}}");
+    let fleet = FleetStats::of_shards(vec![EngineStatsReply::default(); 2]);
+    vec![
+        format!("{{\"check\": {{\"pair\": {pair}, \"options\": {{\"leaps\": false, \"max_iterations\": 9}}}}}}"),
+        format!("{{\"verify\": {{\"pair\": {pair}, \"certificate\": {}}}}}", cert.to_json()),
+        cert.to_json(),
+        outcome_to_value(&Outcome::Equivalent(cert)).render(),
+        outcome_to_value(&refuted).render(),
+        run_stats_to_value(&RunStats::default()).render(),
+        fleet_stats_to_value(&fleet).render(),
+        "{\"verified\": {\"ok\": false, \"class\": \"not_closed\", \"detail\": \"x\"}}".into(),
+        "{\"overloaded\": {\"scope\": \"shard\", \"shard\": 1, \"depth\": 4, \"limit\": 4, \"retry_after_ms\": 80}}".into(),
+    ]
+}
+
+#[test]
+fn decoders_are_total_on_hostile_input() {
+    // Fixed seed: random bytes, byte-mutated real frames and
+    // structure-mutated ones go through `read_frame`, `json::parse` and
+    // every decoder, which must return (a value or an error) on all.
+    let mut state = 0x7074_6f74u64;
+    let mut next = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % n.max(1) as u64) as usize
+    };
+    let frames = real_frames();
+    let parsed: Vec<json::Value> = frames.iter().map(|f| json::parse(f).unwrap()).collect();
+    for round in 0..24_000 {
+        let (payload, prefix) = match round % 3 {
+            0 => {
+                let bytes: Vec<u8> = (0..next(64)).map(|_| next(256) as u8).collect();
+                // Prefixes that fit, overrun the payload, or pass the bound.
+                let prefix = [bytes.len(), bytes.len() + 1 + next(8), next(1 << 31)][next(3)];
+                (bytes, prefix)
+            }
+            1 => {
+                let mut bytes = frames[next(frames.len())].clone().into_bytes();
+                for _ in 0..1 + next(4) {
+                    if bytes.is_empty() {
+                        break;
+                    }
+                    let at = next(bytes.len());
+                    let end = (at + 1 + next(16)).min(bytes.len());
+                    match next(4) {
+                        0 => bytes[at] = b"{}[]\":,-.e0 "[next(12)],
+                        1 => drop(bytes.drain(at..end)),
+                        2 => drop(bytes.splice(at..at, bytes[at..end].to_vec())),
+                        _ => bytes.truncate(at),
+                    }
+                }
+                let len = bytes.len();
+                (bytes, len)
+            }
+            _ => {
+                let mut v = parsed[next(parsed.len())].clone();
+                for _ in 0..1 + next(3) {
+                    mutate(&mut v, &parsed[next(parsed.len())], &mut next);
+                }
+                decode_everything(&v);
+                let bytes = v.render().into_bytes();
+                let len = bytes.len();
+                (bytes, len)
+            }
+        };
+        let mut frame = (prefix as u32).to_be_bytes().to_vec();
+        frame.extend(payload);
+        if let Ok(Some(text)) = read_frame(&mut &frame[..]) {
+            if let Ok(v) = json::parse(&text) {
+                decode_everything(&v);
+            }
+        }
     }
 }

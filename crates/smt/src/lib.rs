@@ -39,6 +39,8 @@
 //! assert!(matches!(check_valid(&decls, &g), CheckResult::Invalid(_)));
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod blast;
 pub mod smtlib;
 pub mod solve;

@@ -364,17 +364,6 @@ impl BlockCanon {
     }
 }
 
-/// A cross-session memo of `∀`-block validations, keyed by the block's
-/// canonical (rename-insensitive) identity and the support valuation in
-/// canonical variable order. Validation is a pure function of that pair,
-/// and blocks lowered by different sessions sharing a guard shape are
-/// structurally identical, so a verdict computed in one session — clean,
-/// or violated with concrete witness values for the bound variables —
-/// transfers exactly to every other. The engine owns one ledger for its
-/// whole lifetime and threads it through every guard session (main loop
-/// and worker slots alike). Verdicts are deterministic replays of what a
-/// fresh solve would produce, so the ledger changes wall-clock only, never
-/// results.
 /// A ledger key: canonical block identity plus the support valuation in
 /// canonical variable order.
 type LedgerKey = (String, Vec<BitVec>);
@@ -431,6 +420,16 @@ impl LedgerInner {
     }
 }
 
+/// A cross-session memo of `∀`-block validations, keyed by the block's
+/// canonical (rename-insensitive) identity and the support valuation in
+/// canonical variable order. Validation is a pure function of that pair,
+/// and blocks lowered by different sessions sharing a guard shape are
+/// structurally identical, so a verdict computed in one session — clean,
+/// or violated with concrete witness values for the bound variables —
+/// transfers exactly to every other. The engine owns one ledger for its
+/// whole lifetime and threads it through every guard session. Verdicts
+/// are deterministic replays of what a fresh solve would produce, so the
+/// ledger changes wall-clock only, never results.
 #[derive(Debug, Clone, Default)]
 pub struct InstLedger {
     inner: Arc<Mutex<LedgerInner>>,

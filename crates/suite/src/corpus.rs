@@ -1,10 +1,10 @@
-//! The witness regression corpus: confirmed, minimized counterexample
-//! packets fed back into the differential harness.
+//! The witness regression corpus: confirmed counterexample packets fed
+//! back into the differential harness.
 //!
 //! Every confirmed refutation the symbolic checker produces is also a
 //! perfect differential-testing input: a packet (plus initial stores) on
 //! which two parsers demonstrably disagree. This module closes the loop —
-//! [`WitnessCorpus::record`] captures the minimized packet and the lifted
+//! [`WitnessCorpus::record`] captures the canonical packet and the lifted
 //! stores of a [`Witness`], keyed by benchmark name; the corpus serializes
 //! to a small line-based text file (the offline build has no serde) so it
 //! survives across runs; and [`WitnessCorpus::exercise`] replays every
@@ -24,13 +24,13 @@ use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::semantics::{Config, Store};
 use leapfrog_p4a::sum::sum;
 
-/// One recorded counterexample: the minimized packet and the nonzero
+/// One recorded counterexample: the canonical packet and the nonzero
 /// headers of both lifted initial stores, named over the *sum* automaton
 /// (`l.<header>` / `r.<header>` — the sum construction is deterministic,
 /// so the names resolve identically when the pair is rebuilt).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusEntry {
-    /// The minimized distinguishing packet.
+    /// The distinguishing packet, unneeded bits zeroed.
     pub packet: BitVec,
     /// Nonzero headers of the left run's initial store.
     pub left_store: Vec<(String, BitVec)>,
@@ -298,39 +298,6 @@ impl WitnessCorpus {
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_text())
     }
-
-    /// Merges another corpus into this one, dropping duplicate entries.
-    /// Fleet restarts use this to union per-shard corpus files (entries
-    /// are name-keyed, not fingerprint-keyed, so every shard may replay
-    /// the full set). Returns how many entries were newly added.
-    pub fn absorb(&mut self, other: WitnessCorpus) -> usize {
-        let mut added = 0;
-        for (name, entries) in other.entries {
-            let bucket = self.entries.entry(name).or_default();
-            for entry in entries {
-                if !bucket.contains(&entry) {
-                    bucket.push(entry);
-                    added += 1;
-                }
-            }
-        }
-        added
-    }
-}
-
-/// The corpus is a [`WitnessSink`](leapfrog::WitnessSink): attach it to a
-/// persistent engine and every confirmed refutation witness a named check
-/// (or batch member) produces is recorded automatically.
-impl leapfrog::WitnessSink for WitnessCorpus {
-    fn record(&mut self, name: &str, witness: &Witness) -> bool {
-        WitnessCorpus::record(self, name, witness)
-    }
-
-    /// The corpus text format — `Engine::save_state` writes it into the
-    /// state directory so recorded regression packets survive a restart.
-    fn export_text(&self) -> Option<String> {
-        Some(self.to_text())
-    }
 }
 
 #[cfg(test)]
@@ -426,31 +393,6 @@ mod tests {
         let report = corpus.exercise("toy", &a, sa, &b, sb);
         assert_eq!(report.replayed, 0);
         assert_eq!(report.skipped, 1);
-    }
-
-    #[test]
-    fn absorb_unions_and_dedupes() {
-        let (a, sa, b, sb) = inequivalent_pair();
-        let mut checker = Checker::new(&a, sa, &b, sb, Options::default());
-        let w_binding = checker.run();
-        let w = w_binding.witness().expect("confirmed witness");
-        let mut left = WitnessCorpus::new();
-        left.record("toy", w);
-        let mut right = WitnessCorpus::new();
-        right.record("toy", w);
-        right.entries.insert(
-            "other".into(),
-            vec![CorpusEntry {
-                packet: "10".parse().unwrap(),
-                left_store: vec![],
-                right_store: vec![],
-            }],
-        );
-        // The duplicate "toy" entry is dropped; "other" is adopted.
-        assert_eq!(left.absorb(right.clone()), 1);
-        assert_eq!(left.len(), 2);
-        // Absorbing again is a no-op.
-        assert_eq!(left.absorb(right), 0);
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //!   `Automaton::redirect_case`) that must be refuted with confirmed
 //!   witnesses, feeding the corpus.
 
+#![warn(missing_docs)]
+
 pub mod applicability;
 pub mod corpus;
 pub mod differential;

@@ -11,8 +11,8 @@
 //! * [`logic`] — configuration relations, weakest preconditions, lowering.
 //! * [`cex`] — the counterexample witness engine: lifts a refutation's
 //!   countermodel into concrete initial stores and a packet, confirms the
-//!   disagreement by explicit replay, and minimizes the packet by delta
-//!   debugging.
+//!   disagreement by explicit replay, and zeroes every packet bit the
+//!   disagreement does not need.
 //! * [`checker`] — the persistent `Engine`, the per-query `Checker`
 //!   wrapper, certificates, run statistics.
 //! * [`hwgen`] / [`suite`] — translation validation and the evaluation
@@ -24,9 +24,8 @@
 //! typed [`prelude::EngineConfig`] (builder pattern;
 //! `EngineConfig::from_env()` subsumes every `LEAPFROG_*` variable), it
 //! owns the long-lived state — warm per-guard solver sessions, memoized
-//! sums and reachability sets, the
-//! cross-session instantiation ledger, and an optional attached witness
-//! sink — and answers single queries ([`prelude::Engine::check`]) or
+//! sums and reachability sets, and the
+//! cross-session instantiation ledger — and answers single queries ([`prelude::Engine::check`]) or
 //! whole batches ([`prelude::Engine::check_batch`]) over the
 //! work-stealing worker pool. Results are byte-identical however a query
 //! is posed: warm, cold, batched or through the legacy wrappers.
@@ -65,7 +64,7 @@
 //!
 //! [`prelude::Outcome`] has three cases: `Equivalent(Certificate)` (an
 //! independently re-checkable proof), `NotEquivalent(Refutation)` (a
-//! concrete [`cex::Witness`] — stores, minimized packet, trace,
+//! concrete [`cex::Witness`] — stores, canonical packet, trace,
 //! disagreement — confirmed against the explicit semantics, or an
 //! `Unconfirmed` diagnostic if lifting failed), and `Aborted`.
 //!
@@ -111,7 +110,7 @@ pub mod prelude {
     pub use leapfrog::checker::check_language_equivalence;
     pub use leapfrog::{
         certificate, Certificate, Checker, Engine, EngineConfig, EngineStats, Options, Outcome,
-        QueryRequest, QuerySpec, WitnessSink,
+        QueryRequest, QuerySpec,
     };
     pub use leapfrog_bitvec::BitVec;
     pub use leapfrog_cex::{Disagreement, Refutation, Witness};

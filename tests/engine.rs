@@ -243,33 +243,3 @@ fn engine_serves_different_pairs_without_cross_talk() {
     }
     assert_eq!(engine.stats().pairs_interned, 2);
 }
-
-#[test]
-fn named_checks_feed_the_witness_sink() {
-    // The engine's witness sink records confirmed refutation witnesses
-    // from named and batched checks. (The suite's WitnessCorpus is the
-    // production sink; a shared-state recorder keeps the assertion
-    // simple.)
-    #[derive(Clone, Default)]
-    struct RecordingSink(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
-    impl leapfrog::WitnessSink for RecordingSink {
-        fn record(&mut self, name: &str, witness: &leapfrog_repro::cex::Witness) -> bool {
-            assert!(witness.check());
-            self.0.lock().unwrap().push(name.to_string());
-            true
-        }
-    }
-    let (l, ql, r, qr) = refuted_pair();
-    let recorder = RecordingSink::default();
-    let mut engine = EngineConfig::new().threads(1).build();
-    engine.attach_witness_sink(Box::new(recorder.clone()));
-    engine.check_named("sanity", &l, ql, &r, qr);
-    let specs = vec![QuerySpec::new("sanity-batch", &l, ql, &r, qr)];
-    engine.check_batch(&specs);
-    assert!(engine.take_witness_sink().is_some());
-    let names = recorder.0.lock().unwrap().clone();
-    assert_eq!(
-        names,
-        vec!["sanity".to_string(), "sanity-batch".to_string()]
-    );
-}

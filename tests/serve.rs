@@ -15,7 +15,7 @@ use leapfrog::checker::check_language_equivalence;
 use leapfrog::{Engine, EngineConfig};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_serve::proto::outcome_to_value;
-use leapfrog_serve::{Client, Server, ServerOptions};
+use leapfrog_serve::{Client, ClientError, Server, ServerOptions};
 use leapfrog_suite::utility::{mpls, sloppy_strict, state_rearrangement};
 use leapfrog_suite::{Benchmark, Scale};
 
@@ -309,6 +309,43 @@ fn inline_wire_checks_match_local_parsing() {
     assert!(client
         .check_inline("parser Broken {", "s", right, "s")
         .is_err());
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn hostile_nesting_gets_error_replies_and_the_daemon_keeps_serving() {
+    // Three requests nesting 100,000 levels deep (a frame of `[`, inline
+    // parsers nesting parentheses or chaining `++`) each get an error
+    // reply instead of overflowing a stack and aborting the daemon.
+    let server = Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    leapfrog_serve::write_frame(&mut raw, &"[".repeat(100_000)).expect("send");
+    let reply = leapfrog_serve::read_frame(&mut raw).expect("reply");
+    assert!(
+        reply.is_some_and(|r| r.contains("\"error\": \"certificate JSON error: nesting deeper"))
+    );
+
+    let parser = |select: &str| {
+        format!("parser P {{ state s {{ extract(h, 8); select({select}) {{ _ => accept; }} }} }}")
+    };
+    let plain = parser("h");
+    let parens = parser(&format!("{}h{}", "(".repeat(100_000), ")".repeat(100_000)));
+    let chain = parser(&vec!["h"; 100_000].join(" ++ "));
+    let mut client = Client::connect(addr).expect("connect");
+    for left in [parens, chain] {
+        let reply = client.check_inline(&left, "s", &plain, "s");
+        assert!(
+            matches!(reply, Err(ClientError::Server(m)) if m.contains("deeper than 64 levels"))
+        );
+    }
+
+    // The daemon still answers, and no check reached an engine.
+    let stats = client.fleet_stats().expect("stats reply");
+    assert_eq!(stats.aggregate.stats.checks, 0);
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
