@@ -7,8 +7,8 @@
 //! Since the persistent-engine redesign the whole table is served by ONE
 //! long-lived `leapfrog::Engine`: every row runs through it twice, and
 //! the emitted JSON carries warm-vs-cold columns (`warm_speedup`,
-//! `sessions_reused`, `sum_cache_hits`, `entailment_memo_hits`) showing
-//! cross-request reuse even on one CPU.
+//! `outcome_replays`, `sum_cache_hits`). The warm run replays the cold
+//! run's outcome record: no search, byte-identical output.
 //!
 //! Since the trust root landed, every row's certificate is additionally
 //! re-discharged through the independent `leapfrog-certcheck` checker
@@ -33,11 +33,12 @@
 //!
 //! Flags / environment:
 //! * `--smoke` — force the small scale and exit nonzero if any emitted
-//!   row is missing the WP-count / index-hit-rate /
-//!   cegar-rounds / blocks-validated / session-rebuilds /
-//!   warm-reuse / phase-breakdown fields, if any row makes more than
-//!   twice as many WP calls as it generates preconditions, if no warm
-//!   reuse was observed at all, if `warm_speedup` lands below 1.0 on
+//!   row is missing the WP-count / index-hit-rate / cegar-rounds /
+//!   blocks-validated / warm-reuse / phase-breakdown fields, if any row
+//!   makes more than twice as many WP calls as it generates
+//!   preconditions, if a row's warm re-run is not an outcome replay (one
+//!   replay, zero solver queries, the cold run's certificate and |R|),
+//!   if `warm_speedup` lands below 1.0 on
 //!   *every* row (a warm re-run losing everywhere means engine reuse
 //!   regressed), if the witness corpus regressed, if a redirect_case
 //!   mutant is not refuted with a confirmed witness or lacks its entry
@@ -48,8 +49,9 @@
 //!   best warm speedup collapsing below 1.0 when the baseline held it at
 //!   ≥ 1.0 (CI runs this).
 //! * `--batch` — additionally pre-run the whole standard table through
-//!   `Engine::check_batch` (the serving API) on the table-wide engine;
-//!   any batched verdict disagreeing with the per-row expectation fails
+//!   `Engine::check_batch` (the serving API) on an engine of its own, so
+//!   the measured rows still search cold; any batched verdict disagreeing
+//!   with the per-row expectation fails
 //!   (CI runs `--smoke --batch`). The 1-vs-4-thread cold-engine
 //!   `batch_parallel_speedup` measurement itself no longer needs the
 //!   flag: it runs whenever the host has ≥ 2 cores, and the JSON records
@@ -115,18 +117,25 @@ fn recheck_certificate(
 }
 
 /// Runs a row runner against the persistent engine: the row is measured
-/// and immediately re-run warm, filling the warm-reuse columns. The
+/// and immediately re-run warm, filling the warm-reuse columns; a warm
+/// run that is not a byte-identical outcome replay is a failure. The
 /// allocator peak is reset before the measured run and read back *before*
 /// the warm pass, so the returned peak covers the measured run only — on
-/// top of the engine-resident floor (warm sessions, memos and caches from
-/// earlier rows stay live; the Memory column is the serving footprint,
-/// not an isolated per-row cost).
-fn measure(engine: &mut Engine, run: &dyn Fn(&mut Engine) -> RowResult) -> (RowResult, usize) {
+/// top of the engine-resident floor (outcome records, sums and scopes
+/// from earlier rows stay live; the Memory column is the serving
+/// footprint, not an isolated per-row cost).
+fn measure(
+    engine: &mut Engine,
+    run: &dyn Fn(&mut Engine) -> RowResult,
+    failures: &mut Vec<String>,
+) -> (RowResult, usize) {
     ALLOC.reset();
     let mut row = run(engine);
     let peak = ALLOC.peak_bytes();
     let warm = run(engine);
-    row.absorb_warm(&warm);
+    if let Err(e) = row.absorb_warm(&warm) {
+        failures.push(e);
+    }
     (row, peak)
 }
 
@@ -175,8 +184,9 @@ fn main() {
     // threads — the cross-query parallel axis, recorded as
     // `batch_parallel_speedup` (wall-clock t1/t4; ~1.0 on a single-core
     // container, a real win on multi-core CI runners). Then the same rows
-    // go through the table-wide persistent engine, so the per-row
-    // measurements afterwards run warm against the batch's state.
+    // go through one more batch on an engine of their own: on the
+    // table-wide engine every measured row would replay the batch's
+    // outcome records and report no search at all.
     let mut batch_parallel_speedup = None;
     let batch_benches = standard_benchmarks(scale);
     let batch_specs: Vec<QuerySpec> = batch_benches
@@ -220,6 +230,7 @@ fn main() {
     if batch_mode {
         let benches = &batch_benches;
         let specs = &batch_specs;
+        let mut engine = Engine::new(EngineConfig::from_env());
         let outcomes = engine.check_batch(specs);
         for (bench, outcome) in benches.iter().zip(&outcomes) {
             if outcome.is_equivalent() != bench.expect_equivalent {
@@ -318,7 +329,11 @@ fn main() {
     let (utility, applicability) = benches.split_at(4);
     for bench in utility {
         exercise_prior(bench, &corpus, &mut failures);
-        let (mut row, mem) = measure(&mut engine, &|e: &mut Engine| run_row_in(e, bench));
+        let (mut row, mem) = measure(
+            &mut engine,
+            &|e: &mut Engine| run_row_in(e, bench),
+            &mut failures,
+        );
         if let Some(w) = &row.witness {
             corpus.record(&row.name, w);
         }
@@ -329,16 +344,20 @@ fn main() {
     // sloppy/strict pair, so the trust root re-checks their certificates
     // against the same sum automaton.
     let (rel_left, rel_right) = sloppy_strict::sloppy_strict_parsers();
-    let (mut row, mem) = measure(&mut engine, &run_relational_verification_in);
+    let (mut row, mem) = measure(&mut engine, &run_relational_verification_in, &mut failures);
     recheck_certificate(&mut row, &rel_left, &rel_right, &mut failures);
     print_row(row, mem, &mut measured);
-    let (mut row, mem) = measure(&mut engine, &run_external_filtering_in);
+    let (mut row, mem) = measure(&mut engine, &run_external_filtering_in, &mut failures);
     recheck_certificate(&mut row, &rel_left, &rel_right, &mut failures);
     print_row(row, mem, &mut measured);
     // Applicability self-comparisons.
     for bench in applicability {
         exercise_prior(bench, &corpus, &mut failures);
-        let (mut row, mem) = measure(&mut engine, &|e: &mut Engine| run_row_in(e, bench));
+        let (mut row, mem) = measure(
+            &mut engine,
+            &|e: &mut Engine| run_row_in(e, bench),
+            &mut failures,
+        );
         if let Some(w) = &row.witness {
             corpus.record(&row.name, w);
         }
@@ -347,9 +366,11 @@ fn main() {
     }
     // Translation validation. The pair is rebuilt deterministically so
     // the trust root can restate the sum the certificate talks about.
-    let (mut row, mem) = measure(&mut engine, &|e: &mut Engine| {
-        run_translation_validation_in(e, scale)
-    });
+    let (mut row, mem) = measure(
+        &mut engine,
+        &|e: &mut Engine| run_translation_validation_in(e, scale),
+        &mut failures,
+    );
     let (edge, _, back, _) = translation_validation_pair(scale);
     recheck_certificate(&mut row, &edge, &back, &mut failures);
     print_row(row, mem, &mut measured);
@@ -361,13 +382,8 @@ fn main() {
     );
     let estats = engine.stats();
     println!(
-        "Engine reuse: {} checks, {} sums interned ({} hits), {} warm sessions attached, \
-         {} memoized verdicts replayed",
-        estats.checks,
-        estats.pairs_interned,
-        estats.sum_cache_hits,
-        estats.sessions_reused,
-        estats.entailment_memo_hits,
+        "Engine reuse: {} checks, {} sums interned ({} hits), {} outcomes replayed",
+        estats.checks, estats.pairs_interned, estats.sum_cache_hits, estats.outcome_replays,
     );
     let rechecked = measured
         .iter()
@@ -537,14 +553,12 @@ fn main() {
         "\"cegar_rounds\"",
         "\"blocks_validated\"",
         "\"blocks_considered\"",
-        "\"session_rebuilds\"",
         "\"peak_live_clauses\"",
         "\"sat_conflicts\"",
         "\"sat_propagations\"",
         "\"warm_speedup\"",
-        "\"sessions_reused\"",
+        "\"outcome_replays\"",
         "\"sum_cache_hits\"",
-        "\"entailment_memo_hits\"",
         "\"certcheck_secs\"",
         "\"certcheck_obligations\"",
         "\"certcheck_cegar_rounds\"",
@@ -580,33 +594,16 @@ fn main() {
             ));
         }
     }
-    // Engine warmth must be *observable*: across the whole table, the
-    // warm re-runs must have attached sessions, hit the sum intern table
-    // and replayed memoized verdicts somewhere.
-    let total_reused: u64 = measured.iter().map(|(r, _)| r.sessions_reused).sum();
-    let total_sum_hits: u64 = measured.iter().map(|(r, _)| r.sum_cache_hits).sum();
-    let total_memo: u64 = measured.iter().map(|(r, _)| r.entailment_memo_hits).sum();
-    if total_reused == 0 || total_sum_hits == 0 || total_memo == 0 {
-        failures.push(format!(
-            "no engine warm reuse observed (sessions_reused={total_reused}, \
-             sum_cache_hits={total_sum_hits}, entailment_memo_hits={total_memo})"
-        ));
-    }
     // A warm re-run losing to its own cold run on EVERY row means engine
     // reuse regressed outright — field presence alone would not catch it.
-    // Only meaningful outside batch mode: the batch pre-pass warms the
-    // table-wide engine, so batch-mode "cold" rows are already memo-served
-    // and the warm ratio is pure timing noise.
-    if !batch_mode {
-        let best_warm = measured
-            .iter()
-            .filter_map(|(r, _)| r.warm_speedup)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if !measured.is_empty() && best_warm < 1.0 {
-            failures.push(format!(
-                "warm_speedup < 1.0 on every row (best {best_warm:.3}): no warm win anywhere"
-            ));
-        }
+    let best_warm = measured
+        .iter()
+        .filter_map(|(r, _)| r.warm_speedup)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if !measured.is_empty() && best_warm < 1.0 {
+        failures.push(format!(
+            "warm_speedup < 1.0 on every row (best {best_warm:.3}): no warm win anywhere"
+        ));
     }
     // The parallel-axis measurement must land in the JSON whenever the
     // host can measure it; a single-core host legitimately reports null.
@@ -738,10 +735,7 @@ impl HistorySnapshot {
                         "entailment_checks",
                         counter("leapfrog_entailment_checks_total"),
                     ),
-                    (
-                        "entailment_memo_hits",
-                        counter("leapfrog_entailment_memo_hits_total"),
-                    ),
+                    ("outcome_replays", counter("leapfrog_outcome_replays_total")),
                     ("smt_queries", counter("leapfrog_smt_queries_total")),
                     ("cegar_rounds", counter("leapfrog_cegar_rounds_total")),
                 ]),

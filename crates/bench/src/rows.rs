@@ -5,7 +5,7 @@
 //! forms); the plain forms are compat wrappers over a transient one. The
 //! `table2` binary runs each row twice through one long-lived engine, so
 //! the emitted rows carry warm-vs-cold columns (`warm_speedup`,
-//! `sessions_reused`, `sum_cache_hits`, `entailment_memo_hits`).
+//! `outcome_replays`, `sum_cache_hits`).
 
 use std::time::{Duration, Instant};
 
@@ -52,8 +52,6 @@ pub struct RowResult {
     pub blocks_validated: u64,
     /// `∀`-blocks a naive per-round sweep would have validated.
     pub blocks_considered: u64,
-    /// Guard-session context rebuilds performed by the clause-budget GC.
-    pub session_rebuilds: u64,
     /// Peak live-clause count in any single entailment-session context.
     pub peak_live_clauses: u64,
     /// CDCL conflicts across every SAT solve of the run.
@@ -63,13 +61,12 @@ pub struct RowResult {
     /// Wall-time speedup of a warm re-run of this row through the same
     /// engine (`None` until the warm pass is measured).
     pub warm_speedup: Option<f64>,
-    /// Warm guard sessions the warm re-run attached to.
-    pub sessions_reused: u64,
+    /// Whether the warm re-run was answered from the engine's outcome
+    /// record (1), with no search.
+    pub outcome_replays: u64,
     /// Sum constructions served from the engine's intern table on the
     /// warm re-run.
     pub sum_cache_hits: u64,
-    /// Entailment verdicts the warm re-run replayed from the engine memo.
-    pub entailment_memo_hits: u64,
     /// The confirmed witness, when the run refuted the property — fed into
     /// the regression corpus by the `table2` binary.
     pub witness: Option<leapfrog_cex::Witness>,
@@ -89,12 +86,29 @@ pub struct RowResult {
 }
 
 impl RowResult {
-    /// Copies the warm-reuse columns out of a warm re-run of this row.
-    pub fn absorb_warm(&mut self, warm: &RowResult) {
+    /// Copies the warm-reuse columns out of a warm re-run of this row and
+    /// checks that the re-run replayed this run's outcome: answered from
+    /// the engine's record with no solver query, byte-identical.
+    pub fn absorb_warm(&mut self, warm: &RowResult) -> Result<(), String> {
         self.warm_speedup = Some(self.runtime.as_secs_f64() / warm.runtime.as_secs_f64().max(1e-9));
-        self.sessions_reused = warm.sessions_reused;
+        self.outcome_replays = warm.outcome_replays;
         self.sum_cache_hits = warm.sum_cache_hits;
-        self.entailment_memo_hits = warm.entailment_memo_hits;
+        if warm.outcome_replays != 1 || warm.queries != 0 {
+            return Err(format!(
+                "\"{}\": the warm re-run searched again ({} outcome replays, {} solver queries)",
+                self.name, warm.outcome_replays, warm.queries
+            ));
+        }
+        if warm.verified != self.verified
+            || warm.certificate != self.certificate
+            || warm.relation_size != self.relation_size
+        {
+            return Err(format!(
+                "\"{}\": the warm re-run's outcome differs from the cold run's",
+                self.name
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -276,11 +290,11 @@ pub fn rows_to_json(
              \"wp_calls\": {}, \"queries\": {}, \
              \"queries_within_5s\": {:.4}, \"index_hit_rate\": {:.4}, \
              \"cegar_rounds\": {}, \"blocks_validated\": {}, \
-             \"blocks_considered\": {}, \"session_rebuilds\": {}, \
+             \"blocks_considered\": {}, \
              \"peak_live_clauses\": {}, \"sat_conflicts\": {}, \
              \"sat_propagations\": {}, \"warm_speedup\": {}, \
-             \"sessions_reused\": {}, \"sum_cache_hits\": {}, \
-             \"entailment_memo_hits\": {}, \"certcheck_secs\": {}, \
+             \"outcome_replays\": {}, \"sum_cache_hits\": {}, \
+             \"certcheck_secs\": {}, \
              \"certcheck_obligations\": {}, \"certcheck_cegar_rounds\": {}, \
              \"certcheck_sat_decisions\": {}, \"certcheck_sat_conflicts\": {}, \
              \"phases\": {}}}{}\n",
@@ -300,16 +314,14 @@ pub fn rows_to_json(
             row.cegar_rounds,
             row.blocks_validated,
             row.blocks_considered,
-            row.session_rebuilds,
             row.peak_live_clauses,
             row.sat_conflicts,
             row.sat_propagations,
             row.warm_speedup
                 .map(|s| format!("{s:.4}"))
                 .unwrap_or_else(|| "null".into()),
-            row.sessions_reused,
+            row.outcome_replays,
             row.sum_cache_hits,
-            row.entailment_memo_hits,
             row.certcheck_secs
                 .map(|s| format!("{s:.6}"))
                 .unwrap_or_else(|| "null".into()),
@@ -392,14 +404,12 @@ fn finish(
         cegar_rounds: stats.queries.cegar_rounds,
         blocks_validated: stats.queries.blocks_validated,
         blocks_considered: stats.queries.blocks_considered,
-        session_rebuilds: stats.queries.session_rebuilds,
         peak_live_clauses: stats.queries.live_clauses_peak,
         sat_conflicts: stats.queries.sat.conflicts,
         sat_propagations: stats.queries.sat.propagations,
         warm_speedup: None,
-        sessions_reused: stats.sessions_reused,
+        outcome_replays: stats.outcome_replays,
         sum_cache_hits: stats.sum_cache_hits,
-        entailment_memo_hits: stats.entailment_memo_hits,
         witness: outcome.witness().cloned(),
         certificate: match outcome {
             Outcome::Equivalent(cert) => Some(cert.to_json()),
@@ -469,7 +479,6 @@ mod tests {
             "\"cegar_rounds\"",
             "\"blocks_validated\"",
             "\"blocks_considered\"",
-            "\"session_rebuilds\"",
             "\"peak_live_clauses\"",
             "\"sat_conflicts\"",
             "\"sat_propagations\"",
@@ -479,9 +488,8 @@ mod tests {
             "\"certcheck_cegar_rounds\": 12",
             "\"certcheck_sat_decisions\": 13",
             "\"certcheck_sat_conflicts\": 14",
-            "\"sessions_reused\"",
+            "\"outcome_replays\"",
             "\"sum_cache_hits\"",
-            "\"entailment_memo_hits\"",
             "\"phases\"",
             "\"batch_parallel_speedup\": 1.5000",
             "\"cores\": 4",
@@ -529,19 +537,21 @@ mod tests {
     #[test]
     fn warm_rerun_through_one_engine_shows_reuse() {
         // The serving pattern the `table2` binary uses: run a row twice
-        // through one engine; the warm pass must report reuse and agree on
-        // the verdict and relation size.
+        // through one engine; the warm pass replays the cold pass's
+        // outcome, with no solver query.
         let bench = state_rearrangement::state_rearrangement_benchmark();
         let mut engine = EngineConfig::from_env().build();
         let mut cold = run_row_in(&mut engine, &bench);
         let warm = run_row_in(&mut engine, &bench);
         assert!(cold.verified && warm.verified);
-        assert_eq!(cold.relation_size, warm.relation_size);
-        assert!(warm.sessions_reused > 0, "warm pass must attach sessions");
+        assert_eq!(cold.outcome_replays, 0);
+        assert_eq!((warm.outcome_replays, warm.queries), (1, 0));
         assert!(warm.sum_cache_hits > 0, "sum must be interned");
-        assert!(warm.entailment_memo_hits > 0, "memo must replay verdicts");
-        cold.absorb_warm(&warm);
+        // A "warm" run that searched again fails the check.
+        let searched = cold.clone();
+        assert!(cold.clone().absorb_warm(&searched).is_err());
+        assert_eq!(cold.absorb_warm(&warm), Ok(()));
         assert!(cold.warm_speedup.is_some());
-        assert_eq!(cold.sessions_reused, warm.sessions_reused);
+        assert_eq!(cold.outcome_replays, 1);
     }
 }

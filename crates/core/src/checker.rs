@@ -65,7 +65,7 @@ pub enum Property {
 }
 
 /// The result of a run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Outcome {
     /// The property holds; the certificate contains the computed relation.
     Equivalent(Certificate),
@@ -535,8 +535,8 @@ mod tests {
 
     #[test]
     fn rerun_on_one_checker_is_warm_and_identical() {
-        // A second `run` on the same checker replays through the owned
-        // engine's warm state: identical certificate, observable reuse.
+        // A second `run` on the same checker replays the owned engine's
+        // outcome record: identical certificate, no search.
         let a = parse(
             "parser A { state s { extract(h, 2);
                select(h[0:0]) { 0b1 => accept; _ => reject; } } }",
@@ -548,17 +548,21 @@ mod tests {
             other => panic!("expected Equivalent, got {other:?}"),
         };
         let cold_stats = c.stats().clone();
-        assert_eq!(cold_stats.entailment_memo_hits, 0);
+        assert_eq!(cold_stats.outcome_replays, 0);
+        assert!(cold_stats.entailment_checks > 0);
         let second = match c.run() {
             Outcome::Equivalent(cert) => cert.to_json(),
             other => panic!("expected Equivalent, got {other:?}"),
         };
         assert_eq!(first, second, "warm re-run must be byte-identical");
         let warm_stats = c.stats();
-        assert!(warm_stats.sessions_reused > 0, "{warm_stats:?}");
+        assert_eq!(warm_stats.outcome_replays, 1, "{warm_stats:?}");
         assert_eq!(
-            warm_stats.entailment_memo_hits, warm_stats.entailment_checks,
-            "a warm identical re-run replays every verdict from the memo: {warm_stats:?}"
+            (warm_stats.iterations, warm_stats.entailment_checks),
+            (0, 0),
+            "an identical re-run replays the recorded outcome: {warm_stats:?}"
         );
+        assert_eq!(warm_stats.queries.queries, 0, "{warm_stats:?}");
+        assert_eq!(warm_stats.extended, cold_stats.extended);
     }
 }

@@ -15,10 +15,13 @@
 //! * memoized per-pair artifacts: the disjoint-sum construction, the
 //!   reachable template-pair sets and the in-scope template lists, interned
 //!   by automaton pair ([`Engine::prepare_pair`]);
-//! * warm per-guard [`SessionPool`]s plus an exact entailment-verdict memo
-//!   per query shape: re-checking a pair replays the recorded `Skip`
-//!   verdicts without touching the solver, and the sessions stay resident
-//!   for any check that diverges.
+//! * one outcome record per query shape: the run of a (pair, shape) is
+//!   deterministic, so a repeat of the same question is answered from the
+//!   record of the first answer — the same certificate or witness, with
+//!   no WP and no solver ([`RunStats::outcome_replays`]).
+//!
+//! Guard sessions ([`SessionPool`]) live for one run: a search builds its
+//! pool and drops it when it returns.
 //!
 //! [`Engine::check`] answers one language-equivalence query on the
 //! calling thread; [`Engine::check_batch`] schedules many queries over
@@ -33,15 +36,15 @@
 //!
 //! Long-running engines additionally support **capacity bounds and
 //! persistence**: [`EngineConfig::warm_capacity`] (env `LEAPFROG_WARM_CAP`,
-//! `0` = unbounded) puts an LRU eviction bound on every warm-state map —
-//! query-shape memos, resident guard sessions, interned pair artifacts and
-//! the instantiation ledger — with eviction counters surfaced in
-//! [`EngineStats`]; and [`Engine::save_state`] /
+//! `0` = unbounded) puts an LRU eviction bound on the outcome records,
+//! the interned pairs and the instantiation ledger, with eviction counters
+//! surfaced in [`EngineStats`]; and [`Engine::save_state`] /
 //! [`EngineConfig::with_state_dir`] serialize and reload the ledger
-//! verdicts, the entailment-verdict memos and the witness corpus, so a
-//! restarted service warms up from disk instead of re-solving from cold.
-//! Neither knob ever changes results — eviction and persistence trade
-//! wall-clock only (asserted in `tests/serve.rs`).
+//! verdicts and every recorded proof (its certificate), so a restarted
+//! service answers a proven pair without searching again. Refutations and
+//! aborts are recorded in memory only; a restarted engine re-solves them,
+//! to the same bytes. Neither knob ever changes results — eviction and
+//! persistence trade wall-clock only (asserted in `tests/serve.rs`).
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -63,13 +66,17 @@ use leapfrog_smt::{CheckResult, InstLedger, SmtSolver, LBD_BUCKETS};
 
 use crate::certificate::Certificate;
 use crate::checker::{Options, Outcome};
-use crate::json::{self, Value};
+use crate::json::{self, JsonError, Value};
 use crate::stats::RunStats;
 
 /// File inside a state directory holding the instantiation-ledger verdicts.
 pub const STATE_LEDGER_FILE: &str = "inst_ledger.txt";
-/// File inside a state directory holding the entailment-verdict memos.
-pub const STATE_MEMO_FILE: &str = "warm_memos.json";
+/// File inside a state directory holding the recorded proofs: one
+/// compact JSON document per line, each an `Equivalent` outcome record's
+/// certificate keyed by pair fingerprint and query shape. One proof per
+/// line keeps saving and loading to one certificate's JSON tree at a
+/// time.
+pub const STATE_OUTCOME_FILE: &str = "warm_outcomes.jsonl";
 
 /// Typed, buildable configuration for an [`Engine`]: the one home of every
 /// engine knob. [`EngineConfig::from_env`] is the only place the
@@ -95,13 +102,13 @@ pub struct EngineConfig {
     /// asked. Results are bit-identical at every setting.
     pub threads: usize,
     /// LRU capacity bound on the warm-state maps (`0` = unbounded): at
-    /// most this many warm query-shape states, interned pairs, resident
-    /// guard sessions per pool and instantiation-ledger entries stay
-    /// live; least-recently-used entries beyond the bound are evicted
-    /// between runs. Results never depend on eviction.
+    /// most this many outcome records, interned pairs and
+    /// instantiation-ledger entries stay live; least-recently-used
+    /// entries beyond the bound are evicted between runs. Results never
+    /// depend on eviction.
     pub warm_capacity: usize,
     /// Directory to reload persisted warm state from at construction
-    /// (ledger verdicts, entailment memos). Written by
+    /// (ledger verdicts, recorded proofs). Written by
     /// [`Engine::save_state`]; a missing directory or file is simply a
     /// cold start.
     pub state_dir: Option<PathBuf>,
@@ -269,27 +276,21 @@ pub struct EngineStats {
     pub sum_cache_hits: u64,
     /// Scope/reachability sets served from the per-pair memo.
     pub reach_cache_hits: u64,
-    /// Warm guard sessions attached to queries (counted once per session
-    /// per warm attach).
-    pub sessions_reused: u64,
-    /// Entailment verdicts replayed from warm-state memos without any
-    /// solver contact.
-    pub entailment_memo_hits: u64,
-    /// Warm query-shape states (memo + session pools) evicted by the
-    /// [`EngineConfig::warm_capacity`] LRU bound.
+    /// Queries answered from an outcome record, with no WP and no solver.
+    pub outcome_replays: u64,
+    /// Outcome records evicted by the [`EngineConfig::warm_capacity`]
+    /// LRU bound.
     pub warm_evictions: u64,
     /// Interned pairs evicted by the capacity bound (sum construction,
-    /// scope sets and warm state dropped; a later query re-interns).
+    /// scope sets and outcome records dropped; a later query re-interns).
     pub pair_evictions: u64,
-    /// Guard sessions pruned from retained warm session pools by the
-    /// capacity bound.
-    pub session_evictions: u64,
     /// Instantiation-ledger entries evicted by the capacity bound
     /// (mirrors the ledger's own counter).
     pub ledger_evictions: u64,
 }
 
-/// Per-pair interned artifacts plus the warm per-query-shape state.
+/// Per-pair interned artifacts plus the outcome record of each query
+/// shape answered so far.
 struct PairState {
     left: Automaton,
     ql: StateId,
@@ -307,8 +308,8 @@ struct PairState {
     /// Scope sets and their predecessor indexes, keyed by
     /// `(leaps, reach_pruning)`.
     scopes: HashMap<(bool, bool), Scope>,
-    /// Warm session pools + verdict memos keyed by query shape.
-    warm: HashMap<WarmKey, WarmState>,
+    /// Outcome records keyed by query shape.
+    outcomes: HashMap<WarmKey, OutcomeRecord>,
     /// Queries answered over this pair (0 = its artifacts were built but
     /// never yet used by a run).
     runs: u64,
@@ -330,7 +331,7 @@ struct Scope {
 /// engine has served (deep equality is only checked within a bucket).
 /// The second component is the same content hashed under a salt: persisted
 /// warm state is keyed by the 128-bit combination, so a 64-bit collision
-/// between distinct pairs cannot attach a saved memo to the wrong pair.
+/// between distinct pairs cannot attach a saved proof to the wrong pair.
 /// `DefaultHasher::new()` is keyed deterministically, so fingerprints are
 /// stable across processes of the same build.
 fn pair_fingerprint(left: &Automaton, ql: StateId, right: &Automaton, qr: StateId) -> (u64, u64) {
@@ -353,7 +354,7 @@ fn pair_fingerprint(left: &Automaton, ql: StateId, right: &Automaton, qr: StateI
 /// to shard `route_fingerprint(..) % workers`, so a pair always lands
 /// on the shard whose warm universe already knows it, and a saved state
 /// dir can be re-partitioned deterministically when the worker count
-/// changes (see [`Engine::import_memos_routed`]).
+/// changes (see [`Engine::import_outcomes_routed`]).
 pub fn route_fingerprint(left: &Automaton, ql: StateId, right: &Automaton, qr: StateId) -> u128 {
     let (fp, fp2) = pair_fingerprint(left, ql, right, qr);
     ((fp as u128) << 64) | fp2 as u128
@@ -361,7 +362,7 @@ pub fn route_fingerprint(left: &Automaton, ql: StateId, right: &Automaton, qr: S
 
 /// Everything that determines a query's result (given a pair): two
 /// requests with equal keys are deterministic replays of each other, so
-/// they may share warm state — including the exact verdict memo.
+/// the second is answered from the first one's outcome record.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct WarmKey {
     standard_init: bool,
@@ -379,137 +380,105 @@ impl WarmKey {
             options: req.options,
         }
     }
+
+    /// Encodes the key in the certificate JSON vocabulary.
+    fn to_value(&self) -> Value {
+        json::obj(vec![
+            ("standard_init", Value::Bool(self.standard_init)),
+            (
+                "extra_init",
+                Value::Arr(self.extra_init.iter().map(json::confrel_to_value).collect()),
+            ),
+            ("query", json::confrel_to_value(&self.query)),
+            ("leaps", Value::Bool(self.options.leaps)),
+            ("reach_pruning", Value::Bool(self.options.reach_pruning)),
+            ("early_stop", Value::Bool(self.options.early_stop)),
+            (
+                "max_iterations",
+                match self.options.max_iterations {
+                    Some(n) => json::num(n as usize),
+                    None => Value::Null,
+                },
+            ),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Result<WarmKey, JsonError> {
+        let flag = |k: &str| json::as_bool(json::get(v, k)?);
+        Ok(WarmKey {
+            standard_init: flag("standard_init")?,
+            extra_init: json::as_arr(json::get(v, "extra_init")?)?
+                .iter()
+                .map(json::confrel_from_value)
+                .collect::<Result<_, _>>()?,
+            query: json::confrel_from_value(json::get(v, "query")?)?,
+            options: Options {
+                leaps: flag("leaps")?,
+                reach_pruning: flag("reach_pruning")?,
+                early_stop: flag("early_stop")?,
+                max_iterations: match json::get(v, "max_iterations")? {
+                    Value::Null => None,
+                    n => Some(json::as_usize(n)? as u64),
+                },
+            },
+        })
+    }
 }
 
-/// The warm state of one query shape: the resident session pool and the
-/// exact entailment-verdict memo.
-///
-/// The memo key is `(guard, same-guard premise count, conclusion)`. Within
-/// one query shape the worklist run is deterministic, so the `k`-th
-/// same-guard premise slice is identical across runs — the key uniquely
-/// identifies the premise *set*, not just its size, and the recorded
-/// verdict is exact. A fully warm re-check therefore replays every `Skip`
-/// decision without a single solver call.
-#[derive(Default)]
-struct WarmState {
-    pool: Option<SessionPool>,
-    memo: HashMap<MemoKey, bool>,
-    runs: u64,
-    /// Recency tick for the LRU warm-state eviction policy.
+/// The answer to one query shape over one pair. Within a query shape the
+/// run is deterministic, so a repeat of the same question is answered
+/// from this record: the same outcome, with no WP and no solver.
+struct OutcomeRecord {
+    outcome: Outcome,
+    /// |R| when the recorded run ended.
+    extended: u64,
+    /// Recency tick for the LRU eviction policy.
     last_used: u64,
 }
 
-/// One memoized entailment verdict: `(guard, same-guard premise count,
-/// conclusion)` — see [`WarmState`] for why the key is exact.
-type MemoKey = (TemplatePair, usize, Arc<ConfRel>);
+impl OutcomeRecord {
+    fn of(outcome: &Outcome, stats: &RunStats) -> OutcomeRecord {
+        OutcomeRecord {
+            outcome: outcome.clone(),
+            extended: stats.extended,
+            last_used: 0,
+        }
+    }
 
-/// Persisted entailment memos keyed by 128-bit pair fingerprint: each
-/// pair carries its warm entries (query-shape key + memoized verdicts).
-type SavedWarmMap = HashMap<(u64, u64), Vec<(WarmKey, HashMap<MemoKey, bool>)>>;
-
-/// Encodes one persisted warm entry: the query-shape key plus every
-/// memoized verdict, using the certificate JSON vocabulary for relations
-/// and templates.
-fn warm_entry_to_value(key: &WarmKey, memo: &HashMap<MemoKey, bool>) -> Value {
-    let pair_value = |p: &TemplatePair| {
-        json::obj(vec![
-            ("left", json::template_to_value(&p.left)),
-            ("right", json::template_to_value(&p.right)),
-        ])
-    };
-    let mut entries: Vec<Value> = memo
-        .iter()
-        .map(|((guard, premises, rel), entailed)| {
-            json::obj(vec![
-                ("guard", pair_value(guard)),
-                ("premises", json::num(*premises)),
-                ("rel", json::confrel_to_value(rel)),
-                ("entailed", Value::Bool(*entailed)),
-            ])
-        })
-        .collect();
-    entries.sort_by_key(Value::render);
-    json::obj(vec![
-        ("standard_init", Value::Bool(key.standard_init)),
-        (
-            "extra_init",
-            Value::Arr(key.extra_init.iter().map(json::confrel_to_value).collect()),
-        ),
-        ("query", json::confrel_to_value(&key.query)),
-        ("leaps", Value::Bool(key.options.leaps)),
-        ("reach_pruning", Value::Bool(key.options.reach_pruning)),
-        ("early_stop", Value::Bool(key.options.early_stop)),
-        (
-            "max_iterations",
-            match key.options.max_iterations {
-                Some(n) => json::num(n as usize),
-                None => Value::Null,
-            },
-        ),
-        ("memo", Value::Arr(entries)),
-    ])
+    /// The recorded outcome, with run statistics of its own: no search
+    /// ran, so every work counter is 0; `extended` is the recorded |R|.
+    fn replay(&self) -> (Outcome, RunStats) {
+        let start = Instant::now();
+        let outcome = self.outcome.clone();
+        let stats = RunStats {
+            extended: self.extended,
+            outcome_replays: 1,
+            threads: 1,
+            wall_time: start.elapsed(),
+            ..RunStats::default()
+        };
+        (outcome, stats)
+    }
 }
 
-/// Decodes the persisted memo document written by `Engine::memos_to_json`.
-fn memos_from_json(text: &str) -> Result<SavedWarmMap, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let err = |e: json::JsonError| e.to_string();
-    let pair_from = |v: &Value| -> Result<TemplatePair, String> {
-        Ok(TemplatePair::new(
-            json::template_from_value(json::get(v, "left").map_err(err)?).map_err(err)?,
-            json::template_from_value(json::get(v, "right").map_err(err)?).map_err(err)?,
-        ))
-    };
-    let mut out: SavedWarmMap = HashMap::new();
-    for pair in json::as_arr(json::get(&doc, "pairs").map_err(err)?).map_err(err)? {
-        let fp: u64 = json::as_str(json::get(pair, "fingerprint").map_err(err)?)
-            .map_err(err)?
-            .parse()
-            .map_err(|_| "bad fingerprint".to_string())?;
-        let fp2: u64 = json::as_str(json::get(pair, "fingerprint2").map_err(err)?)
-            .map_err(err)?
-            .parse()
-            .map_err(|_| "bad fingerprint2".to_string())?;
-        let mut entries = Vec::new();
-        for warm in json::as_arr(json::get(pair, "warm").map_err(err)?).map_err(err)? {
-            let max_iterations = match json::get(warm, "max_iterations").map_err(err)? {
-                Value::Null => None,
-                v => Some(json::as_usize(v).map_err(err)? as u64),
-            };
-            let key = WarmKey {
-                standard_init: json::as_bool(json::get(warm, "standard_init").map_err(err)?)
-                    .map_err(err)?,
-                extra_init: json::as_arr(json::get(warm, "extra_init").map_err(err)?)
-                    .map_err(err)?
-                    .iter()
-                    .map(json::confrel_from_value)
-                    .collect::<Result<_, _>>()
-                    .map_err(err)?,
-                query: json::confrel_from_value(json::get(warm, "query").map_err(err)?)
-                    .map_err(err)?,
-                options: Options {
-                    leaps: json::as_bool(json::get(warm, "leaps").map_err(err)?).map_err(err)?,
-                    reach_pruning: json::as_bool(json::get(warm, "reach_pruning").map_err(err)?)
-                        .map_err(err)?,
-                    early_stop: json::as_bool(json::get(warm, "early_stop").map_err(err)?)
-                        .map_err(err)?,
-                    max_iterations,
-                },
-            };
-            let mut memo = HashMap::new();
-            for entry in json::as_arr(json::get(warm, "memo").map_err(err)?).map_err(err)? {
-                let guard = pair_from(json::get(entry, "guard").map_err(err)?)?;
-                let premises =
-                    json::as_usize(json::get(entry, "premises").map_err(err)?).map_err(err)?;
-                let rel =
-                    json::confrel_from_value(json::get(entry, "rel").map_err(err)?).map_err(err)?;
-                let entailed =
-                    json::as_bool(json::get(entry, "entailed").map_err(err)?).map_err(err)?;
-                memo.insert((guard, premises, Arc::new(rel)), entailed);
-            }
-            entries.push((key, memo));
-        }
-        out.entry((fp, fp2)).or_default().extend(entries);
+/// Persisted proofs keyed by 128-bit pair fingerprint: each pair carries
+/// its query-shape keys and their certificates.
+type SavedProofs = HashMap<(u64, u64), Vec<(WarmKey, Certificate)>>;
+
+/// Decodes the persisted proof lines written by `Engine::proofs_to_jsonl`.
+fn proofs_from_jsonl(text: &str) -> Result<SavedProofs, JsonError> {
+    let mut out = SavedProofs::new();
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        let proof = json::parse(line)?;
+        let half = |k: &str| -> Result<u64, JsonError> {
+            json::as_str(json::get(&proof, k)?)?
+                .parse()
+                .map_err(|_| JsonError::new(format!("bad {k}")))
+        };
+        let fp = (half("fingerprint")?, half("fingerprint2")?);
+        let key = WarmKey::from_value(json::get(&proof, "key")?)?;
+        let cert = json::certificate_from_value(json::get(&proof, "certificate")?)?;
+        out.entry(fp).or_default().push((key, cert));
     }
     Ok(out)
 }
@@ -527,9 +496,9 @@ pub struct Engine {
     free_slots: Vec<usize>,
     /// Intern index: pair fingerprint → candidate indices into `pairs`.
     pair_index: HashMap<u64, Vec<usize>>,
-    /// Persisted entailment memos not yet claimed by an interned pair,
-    /// keyed by the 128-bit pair fingerprint.
-    saved_warm: SavedWarmMap,
+    /// Persisted proofs not yet claimed by an interned pair, keyed by the
+    /// 128-bit pair fingerprint.
+    saved_proofs: SavedProofs,
     /// Monotone recency counter for the LRU eviction policies.
     tick: u64,
     stats: EngineStats,
@@ -552,8 +521,7 @@ mod meters {
     pub static BATCHES: LazyCounter = LazyCounter::new("leapfrog_batches_total");
     pub static ENTAILMENT_CHECKS: LazyCounter =
         LazyCounter::new("leapfrog_entailment_checks_total");
-    pub static ENTAILMENT_MEMO_HITS: LazyCounter =
-        LazyCounter::new("leapfrog_entailment_memo_hits_total");
+    pub static OUTCOME_REPLAYS: LazyCounter = LazyCounter::new("leapfrog_outcome_replays_total");
     pub static PAIRS_INTERNED: LazyCounter = LazyCounter::new("leapfrog_pairs_interned_total");
     pub static WARM_EVICTIONS: LazyCounter = LazyCounter::new("leapfrog_warm_evictions_total");
     pub static PAIR_EVICTIONS: LazyCounter = LazyCounter::new("leapfrog_pair_evictions_total");
@@ -642,7 +610,7 @@ impl Engine {
             pairs: Vec::new(),
             free_slots: Vec::new(),
             pair_index: HashMap::new(),
-            saved_warm: HashMap::new(),
+            saved_proofs: HashMap::new(),
             tick: 0,
             stats: EngineStats::default(),
             last_run: RunStats::default(),
@@ -712,70 +680,59 @@ impl Engine {
 
     /// Serializes the engine's reloadable warm state into `dir` (created
     /// if missing): the instantiation ledger's validation verdicts and
-    /// every entailment-verdict memo (keyed by pair fingerprint so a
-    /// restarted engine re-attaches them on intern). An engine built with
-    /// [`EngineConfig::with_state_dir`] pointing here starts warm: memo
-    /// and ledger replays need no solver contact. Any other file in `dir`
-    /// is left alone.
+    /// every recorded proof (keyed by pair fingerprint so a restarted
+    /// engine re-attaches it on intern). An engine built with
+    /// [`EngineConfig::with_state_dir`] pointing here answers each saved
+    /// (pair, query shape) from its certificate, with no search. Any other
+    /// file in `dir` — such as an older build's `warm_memos.json` — is
+    /// left alone.
     pub fn save_state(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(STATE_LEDGER_FILE), self.ledger.export_text())?;
-        std::fs::write(dir.join(STATE_MEMO_FILE), self.memos_to_json())?;
+        std::fs::write(dir.join(STATE_OUTCOME_FILE), self.proofs_to_jsonl())?;
         Ok(())
     }
 
-    /// Encodes every entailment memo — live pairs' warm states plus any
-    /// still-unclaimed persisted entries — as one JSON document, in
-    /// deterministic order.
-    fn memos_to_json(&self) -> String {
-        let mut by_pair: Vec<((u64, u64), Vec<Value>)> = Vec::new();
-        let mut push =
-            |fp: (u64, u64), entry: Value| match by_pair.iter_mut().find(|(f, _)| *f == fp) {
-                Some((_, entries)) => entries.push(entry),
-                None => by_pair.push((fp, vec![entry])),
-            };
+    /// Encodes every recorded proof — live pairs' `Equivalent` records
+    /// plus any still-unclaimed persisted ones — one per line, in
+    /// deterministic order (by pair fingerprint, then query shape).
+    fn proofs_to_jsonl(&self) -> String {
+        let mut lines: Vec<((u64, u64), String, String)> = Vec::new();
+        let mut push = |fp: (u64, u64), key: &WarmKey, cert: &Certificate| {
+            let key = key.to_value();
+            let order = key.render_compact();
+            let line = json::obj(vec![
+                ("fingerprint", Value::Str(fp.0.to_string())),
+                ("fingerprint2", Value::Str(fp.1.to_string())),
+                ("key", key),
+                ("certificate", json::certificate_to_value(cert)),
+            ])
+            .render_compact();
+            lines.push((fp, order, line));
+        };
         for p in self.pairs.iter().flatten() {
-            for (key, warm) in &p.warm {
-                if !warm.memo.is_empty() {
-                    push(p.fingerprint, warm_entry_to_value(key, &warm.memo));
+            for (key, record) in &p.outcomes {
+                if let Outcome::Equivalent(cert) = &record.outcome {
+                    push(p.fingerprint, key, cert);
                 }
             }
         }
-        for (fp, entries) in &self.saved_warm {
-            for (key, memo) in entries {
-                if !memo.is_empty() {
-                    push(*fp, warm_entry_to_value(key, memo));
-                }
+        for (fp, proofs) in &self.saved_proofs {
+            for (key, cert) in proofs {
+                push(*fp, key, cert);
             }
         }
-        by_pair.sort_by_key(|(fp, _)| *fp);
-        for (_, entries) in &mut by_pair {
-            entries.sort_by_key(Value::render);
-        }
-        let pairs = by_pair
-            .into_iter()
-            .map(|((fp, fp2), entries)| {
-                json::obj(vec![
-                    ("fingerprint", Value::Str(fp.to_string())),
-                    ("fingerprint2", Value::Str(fp2.to_string())),
-                    ("warm", Value::Arr(entries)),
-                ])
-            })
-            .collect();
-        json::obj(vec![
-            ("version", Value::Num(1.0)),
-            ("pairs", Value::Arr(pairs)),
-        ])
-        .render()
+        lines.sort_unstable();
+        lines.into_iter().map(|(_, _, line)| line + "\n").collect()
     }
 
     /// Best-effort reload of persisted state from the configured state
     /// directory. Missing files are a cold start; unreadable ones are
     /// noted in [`Engine::state_report`] and skipped — a corrupt state dir
     /// must never take the service down, only slow it. Files this engine
-    /// does not write (such as an older build's `blast_cache.txt`) are
-    /// ignored and left in place.
+    /// does not write (such as an older build's `warm_memos.json`,
+    /// `blast_cache.txt` or `corpus.txt`) are ignored and left in place.
     fn load_state(&mut self) {
         let Some(dir) = self.config.state_dir.clone() else {
             return;
@@ -788,17 +745,14 @@ impl Engine {
                 Err(e) => notes.push(format!("ledger skipped ({e})")),
             }
         }
-        if let Some(text) = read(STATE_MEMO_FILE) {
-            match memos_from_json(&text) {
+        if let Some(text) = read(STATE_OUTCOME_FILE) {
+            match proofs_from_jsonl(&text) {
                 Ok(saved) => {
-                    let n: usize = saved
-                        .values()
-                        .flat_map(|entries| entries.iter().map(|(_, m)| m.len()))
-                        .sum();
-                    notes.push(format!("{n} memoized verdicts"));
-                    self.saved_warm = saved;
+                    let n: usize = saved.values().map(Vec::len).sum();
+                    notes.push(format!("{n} recorded proofs"));
+                    self.saved_proofs = saved;
                 }
-                Err(e) => notes.push(format!("memos skipped ({e})")),
+                Err(e) => notes.push(format!("proofs skipped ({e})")),
             }
         }
         if !notes.is_empty() {
@@ -810,38 +764,38 @@ impl Engine {
         }
     }
 
-    /// Imports persisted entailment memos from another engine's state
-    /// directory, keeping only the pairs whose 128-bit routing
-    /// fingerprint satisfies `keep`. This is the shard-merge path: when
-    /// a fleet restarts at a different worker count, every new shard
-    /// feeds each saved `shard-<i>/` directory through this with
-    /// `keep = |fp| fp % workers == shard`, so memo entries re-route to
-    /// the shard that will intern their pair. The content-keyed ledger is
-    /// not fingerprint-routed and degrades to cold. Returns the number of
-    /// memoized verdicts adopted.
-    pub fn import_memos_routed(
+    /// Imports persisted proofs from another engine's state directory,
+    /// keeping only the pairs whose 128-bit routing fingerprint satisfies
+    /// `keep`. This is the shard-merge path: when a fleet restarts at a
+    /// different worker count, every new shard feeds each saved
+    /// `shard-<i>/` directory through this with
+    /// `keep = |fp| fp % workers == shard`, so each proof re-routes to the
+    /// shard that will intern its pair. The content-keyed ledger is not
+    /// fingerprint-routed and degrades to cold. Returns the number of
+    /// proofs adopted.
+    pub fn import_outcomes_routed(
         &mut self,
         dir: impl AsRef<Path>,
         keep: &dyn Fn(u128) -> bool,
     ) -> Result<usize, String> {
-        let path = dir.as_ref().join(STATE_MEMO_FILE);
+        let path = dir.as_ref().join(STATE_OUTCOME_FILE);
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let saved = memos_from_json(&text)?;
+        let saved = proofs_from_jsonl(&text).map_err(|e| e.to_string())?;
         let mut adopted = 0usize;
-        for ((fp, fp2), entries) in saved {
+        for ((fp, fp2), proofs) in saved {
             if !keep(((fp as u128) << 64) | fp2 as u128) {
                 continue;
             }
-            adopted += entries.iter().map(|(_, memo)| memo.len()).sum::<usize>();
-            self.saved_warm
+            adopted += proofs.len();
+            self.saved_proofs
                 .entry((fp, fp2))
                 .or_default()
-                .extend(entries);
+                .extend(proofs);
         }
         if adopted > 0 {
             let note = format!(
-                "merged {adopted} routed verdicts from {}",
+                "merged {adopted} routed proofs from {}",
                 dir.as_ref().display()
             );
             self.state_report = Some(match self.state_report.take() {
@@ -893,27 +847,22 @@ impl Engine {
             Template::start(sum_info.left_state(ql)),
             Template::start(sum_info.right_state(qr)),
         );
-        // Persisted entailment memos for this pair (saved by an earlier
-        // process) attach here: the sessions start cold, but every
-        // recorded verdict replays without solver contact.
-        let warm: HashMap<WarmKey, WarmState> = self
-            .saved_warm
+        // Proofs of this pair saved by an earlier process attach here as
+        // outcome records: each answers its query shape without a search.
+        let outcomes: HashMap<WarmKey, OutcomeRecord> = self
+            .saved_proofs
             .remove(&fp)
-            .map(|entries| {
-                entries
-                    .into_iter()
-                    .map(|(key, memo)| {
-                        (
-                            key,
-                            WarmState {
-                                memo,
-                                ..WarmState::default()
-                            },
-                        )
-                    })
-                    .collect()
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(key, cert)| {
+                let record = OutcomeRecord {
+                    extended: cert.relation.len() as u64,
+                    outcome: Outcome::Equivalent(cert),
+                    last_used: self.tick,
+                };
+                (key, record)
             })
-            .unwrap_or_default();
+            .collect();
         let generation = self.tick;
         let state = PairState {
             left: left.clone(),
@@ -925,7 +874,7 @@ impl Engine {
             fingerprint: fp,
             generation,
             scopes: HashMap::new(),
-            warm,
+            outcomes,
             runs: 0,
             last_used: self.tick,
         };
@@ -1016,28 +965,38 @@ impl Engine {
     }
 
     fn run_prepared_traced(&mut self, pid: PairId, req: &QueryRequest, qt: QueryTrace) -> Outcome {
-        let opts = req.options;
-        let (scope, reach_hit) = self.scope_for(pid, opts.leaps, opts.reach_pruning);
         let key = WarmKey::of(req);
         self.tick += 1;
         let tick = self.tick;
         let pair = self.pair_mut(pid);
         pair.last_used = tick;
-        let mut warm = pair.warm.remove(&key).unwrap_or_default();
-        let aut = pair.sum.automaton.clone();
-        let mut stats = RunStats {
-            reach_cache_hits: reach_hit as u64,
-            // The pair's sum/root artifacts were already resident iff a
-            // prior run used them — counted here so every entry point
-            // (check, Checker::run, the relational row runners) reports
-            // sum reuse consistently.
-            sum_cache_hits: (pair.runs > 0) as u64,
-            ..RunStats::default()
-        };
+        // The pair's sum/root artifacts were already resident iff a prior
+        // run used them — counted here so every entry point (check,
+        // Checker::run, the relational row runners) reports sum reuse
+        // consistently.
+        let sum_cache_hits = (pair.runs > 0) as u64;
         pair.runs += 1;
-        let outcome = run_worklist(&aut, &scope, req, &mut warm, &self.ledger, &mut stats);
-        warm.last_used = tick;
-        self.pair_mut(pid).warm.insert(key, warm);
+        let (outcome, mut stats) = match pair.outcomes.get_mut(&key) {
+            Some(record) => {
+                record.last_used = tick;
+                record.replay()
+            }
+            None => {
+                let opts = req.options;
+                let (scope, reach_hit) = self.scope_for(pid, opts.leaps, opts.reach_pruning);
+                let aut = self.pair(pid).sum.automaton.clone();
+                let mut stats = RunStats {
+                    reach_cache_hits: reach_hit as u64,
+                    ..RunStats::default()
+                };
+                let outcome = run_worklist(&aut, &scope, req, &self.ledger, &mut stats);
+                let mut record = OutcomeRecord::of(&outcome, &stats);
+                record.last_used = tick;
+                self.pair_mut(pid).outcomes.insert(key, record);
+                (outcome, stats)
+            }
+        };
+        stats.sum_cache_hits = sum_cache_hits;
         let fp = self.pair(pid).fingerprint;
         qt.finish(&mut stats, || format!("pair:{:016x}", fp.0));
         self.absorb_run(&stats);
@@ -1049,8 +1008,8 @@ impl Engine {
     fn absorb_run(&mut self, stats: &RunStats) {
         self.stats.checks += 1;
         meters::CHECKS.inc();
-        self.stats.sessions_reused += stats.sessions_reused;
-        self.stats.entailment_memo_hits += stats.entailment_memo_hits;
+        self.stats.outcome_replays += stats.outcome_replays;
+        meters::OUTCOME_REPLAYS.add(stats.outcome_replays);
         self.stats.reach_cache_hits += stats.reach_cache_hits;
         self.stats.sum_cache_hits += stats.sum_cache_hits;
         let sat = &stats.queries.sat;
@@ -1065,47 +1024,37 @@ impl Engine {
     }
 
     /// Applies the [`EngineConfig::warm_capacity`] LRU bound between runs:
-    /// warm query-shape states, resident guard sessions per warm state and
-    /// interned pairs are each trimmed to the capacity, least-recently-used
-    /// first, and the ledger's own eviction counter is mirrored into the
-    /// engine statistics. Eviction only ever discards caches of
-    /// deterministic computations, so results are unaffected.
+    /// outcome records and interned pairs are each trimmed to the
+    /// capacity, least-recently-used first, and the ledger's own eviction
+    /// counter is mirrored into the engine statistics. Eviction only ever
+    /// discards records of deterministic computations, so results are
+    /// unaffected.
     fn enforce_caps(&mut self) {
         self.stats.ledger_evictions = self.ledger.evictions();
         let cap = self.config.warm_capacity;
         if cap == 0 {
             return;
         }
-        // Warm query-shape states, engine-wide.
+        // Outcome records, engine-wide.
         loop {
-            let total: usize = self.pairs.iter().flatten().map(|p| p.warm.len()).sum();
+            let total: usize = self.pairs.iter().flatten().map(|p| p.outcomes.len()).sum();
             if total <= cap {
                 break;
             }
             let mut victim: Option<(usize, WarmKey, u64)> = None;
             for (i, p) in self.pairs.iter().enumerate() {
                 let Some(p) = p else { continue };
-                for (k, w) in &p.warm {
-                    if victim.as_ref().is_none_or(|(_, _, t)| w.last_used < *t) {
-                        victim = Some((i, k.clone(), w.last_used));
+                for (k, r) in &p.outcomes {
+                    if victim.as_ref().is_none_or(|(_, _, t)| r.last_used < *t) {
+                        victim = Some((i, k.clone(), r.last_used));
                     }
                 }
             }
             let (i, key, _) = victim.expect("count above cap implies a victim");
-            self.pairs[i].as_mut().unwrap().warm.remove(&key);
+            self.pairs[i].as_mut().unwrap().outcomes.remove(&key);
             self.stats.warm_evictions += 1;
             meters::WARM_EVICTIONS.inc();
         }
-        // Guard sessions inside the retained warm states.
-        let mut pruned = 0usize;
-        for p in self.pairs.iter_mut().flatten() {
-            for w in p.warm.values_mut() {
-                if let Some(pool) = w.pool.as_mut() {
-                    pruned += pool.prune_lru(cap);
-                }
-            }
-        }
-        self.stats.session_evictions += pruned as u64;
         // Interned pairs.
         loop {
             let live = self.pairs.iter().flatten().count();
@@ -1137,8 +1086,8 @@ impl Engine {
     /// [`EngineConfig::threads`] worker threads: queries on *distinct*
     /// pairs run concurrently (each worker drains a shared cursor over the
     /// pair groups), while queries on the *same* pair run back-to-back in
-    /// one group so the later ones hit that pair's warm state. Each query
-    /// runs whole on one worker. With one thread the batch runs
+    /// one group so the later ones replay the first one's outcome record.
+    /// Each query runs whole on one worker. With one thread the batch runs
     /// sequentially and still reuses everything.
     /// Outcomes are returned in submission order and are bit-identical to
     /// checking each spec individually; each spec's own statistics land in
@@ -1155,9 +1104,10 @@ impl Engine {
     /// let q = a.state_by_name("s").unwrap();
     /// let mut engine = EngineConfig::new().threads(1).build();
     /// let spec = QuerySpec::new("self", &a, q, &a, q);
-    /// // The second query hits the warm state the first one built.
+    /// // The second query replays the outcome the first one recorded.
     /// let outcomes = engine.check_batch(&[spec.clone(), spec]);
     /// assert!(outcomes.iter().all(|o| o.is_equivalent()));
+    /// assert_eq!(engine.last_batch_stats()[1].outcome_replays, 1);
     /// ```
     pub fn check_batch(&mut self, specs: &[QuerySpec]) -> Vec<Outcome> {
         self.stats.batches += 1;
@@ -1193,21 +1143,22 @@ impl Engine {
                 }
             }
             // Parallel batch: one task per pair group. Queries of the same
-            // group run back-to-back on one worker so they hit the group's
-            // warm state.
+            // group run back-to-back on one worker, so after the first one
+            // the rest replay its outcome record.
             struct GroupTask {
                 pid: PairId,
                 aut: Automaton,
-                scope: Scope,
                 req: QueryRequest,
-                warm: WarmState,
+                /// The group's outcome record: found before the batch, or
+                /// left by the group's first query.
+                record: Option<OutcomeRecord>,
+                /// The scope a search needs, and whether it was memoized;
+                /// `None` when the group replays from the start.
+                scope: Option<(Scope, bool)>,
                 /// This pair's run count before the batch — the group's
                 /// first query reports sum reuse iff it is nonzero; later
                 /// group members always reuse.
                 prior_runs: u64,
-                /// Whether the group's first query found the scope memoized
-                /// (later group members always do).
-                reach_hit: bool,
                 indices: Vec<usize>,
                 results: Vec<(usize, Outcome, RunStats)>,
             }
@@ -1215,20 +1166,22 @@ impl Engine {
             let mut tasks: Vec<GroupTask> = groups
                 .into_iter()
                 .map(|(pid, indices)| {
-                    let (scope, reach_hit) = self.scope_for(pid, opts.leaps, opts.reach_pruning);
                     let req = self.standard_request(pid);
                     let key = WarmKey::of(&req);
+                    let record = self.pair_mut(pid).outcomes.remove(&key);
+                    let scope = record
+                        .is_none()
+                        .then(|| self.scope_for(pid, opts.leaps, opts.reach_pruning));
                     let pair = self.pair_mut(pid);
                     let prior_runs = pair.runs;
                     pair.runs += indices.len() as u64;
                     GroupTask {
                         pid,
                         aut: pair.sum.automaton.clone(),
-                        warm: pair.warm.remove(&key).unwrap_or_default(),
-                        scope,
                         req,
+                        record,
+                        scope,
                         prior_runs,
-                        reach_hit,
                         indices,
                         results: Vec::new(),
                     }
@@ -1253,33 +1206,36 @@ impl Engine {
                             continue;
                         };
                         for &qi in &task.indices {
-                            let mut stats = RunStats::default();
-                            let outcome = run_worklist(
-                                &task.aut,
-                                &task.scope,
-                                &task.req,
-                                &mut task.warm,
-                                ledger,
-                                &mut stats,
-                            );
+                            let (outcome, stats) = match &task.record {
+                                Some(record) => record.replay(),
+                                None => {
+                                    let (scope, reach_hit) =
+                                        task.scope.as_ref().expect("a searching group has a scope");
+                                    let mut stats = RunStats {
+                                        reach_cache_hits: *reach_hit as u64,
+                                        ..RunStats::default()
+                                    };
+                                    let outcome = run_worklist(
+                                        &task.aut, scope, &task.req, ledger, &mut stats,
+                                    );
+                                    task.record = Some(OutcomeRecord::of(&outcome, &stats));
+                                    (outcome, stats)
+                                }
+                            };
                             task.results.push((qi, outcome, stats));
                         }
                     });
                 }
             });
             for mut task in tasks {
-                let key = WarmKey::of(&task.req);
                 self.tick += 1;
-                task.warm.last_used = self.tick;
-                self.pair_mut(task.pid).warm.insert(key, task.warm);
+                if let Some(mut record) = task.record.take() {
+                    record.last_used = self.tick;
+                    let key = WarmKey::of(&task.req);
+                    self.pair_mut(task.pid).outcomes.insert(key, record);
+                }
                 for (j, (qi, outcome, mut stats)) in task.results.drain(..).enumerate() {
-                    let (sum_hit, reach_hit) = if j == 0 {
-                        (task.prior_runs > 0, task.reach_hit)
-                    } else {
-                        (true, true)
-                    };
-                    stats.sum_cache_hits = sum_hit as u64;
-                    stats.reach_cache_hits = reach_hit as u64;
+                    stats.sum_cache_hits = (j > 0 || task.prior_runs > 0) as u64;
                     self.absorb_run(&stats);
                     merged.merge(&stats);
                     outcomes[qi] = Some(outcome);
@@ -1320,37 +1276,26 @@ impl Engine {
 }
 
 /// Algorithm 1 over engine-owned resources, on the calling thread: the
-/// guard-indexed worklist, processed one frontier generation at a time,
-/// plus the warm-state fast paths:
-///
-/// * every entailment verdict is recorded in the warm state's memo and
-///   replayed on later runs of the same query shape;
-/// * the session pool persists across runs, so premise clauses, learnt
-///   CDCL state and CEGAR instantiations carry over whenever a check
-///   misses the memo.
+/// guard-indexed worklist, processed one frontier generation at a time.
+/// Entailments go through a session pool that lives for this run: premise
+/// clauses, learnt CDCL state and CEGAR instantiations carry over from one
+/// check of a guard to the next, and the pool is dropped on return. The
+/// pool's sessions share the engine's instantiation ledger.
 ///
 /// The query's shape comes from `req`.
 fn run_worklist(
     aut: &Automaton,
     scope: &Scope,
     req: &QueryRequest,
-    warm: &mut WarmState,
     ledger: &InstLedger,
     stats: &mut RunStats,
 ) -> Outcome {
     let start = Instant::now();
     let opts = &req.options;
     let mut solver = SmtSolver::new();
+    let mut pool = SessionPool::with_ledger(ledger.clone());
     stats.scope_pairs = scope.pairs.len();
     stats.threads = 1;
-    warm.runs += 1;
-
-    let mut pool = warm
-        .pool
-        .take()
-        .unwrap_or_else(|| SessionPool::with_ledger(ledger.clone()));
-    stats.sessions_reused = pool.len() as u64;
-    let session_base = pool.stats();
 
     // Initial relation I (Lemma 4.10 / Theorem 5.2): forbid pairs that
     // disagree on acceptance, restricted to the scope; plus any
@@ -1388,17 +1333,14 @@ fn run_worklist(
     let mut relation = RelationStore::new();
     // Seals the run-wide statistics before returning any outcome, so
     // `extended` (= |R|), wall time and query counters are populated on
-    // the `Equivalent`, `NotEquivalent` *and* `Aborted` paths alike. Only
-    // this run's share of the (possibly warm) session counters is
-    // charged, via the baseline delta.
+    // the `Equivalent`, `NotEquivalent` *and* `Aborted` paths alike.
     macro_rules! seal {
         ($relation_len:expr) => {{
             stats.wall_time = start.elapsed();
             let mut queries = solver.stats().clone();
-            queries.absorb(&pool.stats().delta_since(&session_base));
+            queries.absorb(&pool.stats());
             stats.queries = queries;
             stats.extended = $relation_len as u64;
-            warm.pool = Some(pool);
         }};
     }
 
@@ -1440,23 +1382,9 @@ fn run_worklist(
 
             stats.entailment_checks += 1;
             meters::ENTAILMENT_CHECKS.inc();
-            let matching = relation.matching_count(psi.guard);
-            stats.premises_matched += matching as u64;
+            stats.premises_matched += relation.matching_count(psi.guard) as u64;
             stats.premises_total += relation.len() as u64;
-            let memo_key = (psi.guard, matching, psi.clone());
-            let entailed = match warm.memo.get(&memo_key) {
-                Some(&v) => {
-                    stats.entailment_memo_hits += 1;
-                    meters::ENTAILMENT_MEMO_HITS.inc();
-                    v
-                }
-                None => {
-                    let v = pool.check(aut, &relation.matching(psi.guard), &psi);
-                    warm.memo.insert(memo_key, v);
-                    v
-                }
-            };
-            if entailed {
+            if pool.check(aut, &relation.matching(psi.guard), &psi) {
                 stats.skipped += 1;
                 continue;
             }
@@ -1520,9 +1448,9 @@ fn run_worklist(
 /// chain to the initial conjunct it was derived from; the chain shares
 /// the provenance table's relations by `Arc`.
 ///
-/// Runs on the per-query one-shot solver (not the warm sessions), so the
+/// Runs on the per-query one-shot solver (not the guard sessions), so the
 /// extracted countermodel — and therefore the witness — is independent of
-/// engine warmth and session history. An unconfirmed witness is returned
+/// session history. An unconfirmed witness is returned
 /// as such and counted in [`RunStats::witnesses_unconfirmed`].
 fn query_violation(
     aut: &Automaton,
@@ -1611,7 +1539,7 @@ mod tests {
         };
         let mut engine = EngineConfig::new().threads(1).warm_capacity(1).build();
         // Alternating pairs under capacity 1: every switch evicts the
-        // other pair's warm state, yet every certificate is identical.
+        // other pair's outcome record, yet every certificate is identical.
         for _ in 0..2 {
             assert_eq!(reference.0, cert_of(&engine.check(&a, sa, &b, sb)));
             assert_eq!(reference.1, cert_of(&engine.check(&c, sc, &d, sd)));
@@ -1639,12 +1567,18 @@ mod tests {
 
         let mut first = EngineConfig::new().threads(1).build();
         let cold_cert = cert_of(&first.check(&a, sa, &b, sb));
-        assert_eq!(first.last_run_stats().entailment_memo_hits, 0);
+        let cold = first.last_run_stats().clone();
+        assert_eq!(cold.outcome_replays, 0);
         first.save_state(&dir).unwrap();
-        // State dirs saved by older builds also hold a `blast_cache.txt`
-        // of CNF templates and a `corpus.txt` of witness packets; a
-        // restarted engine ignores both, and saving leaves them as found.
+        // State dirs saved by older builds also hold a `warm_memos.json` of
+        // entailment verdicts, a `blast_cache.txt` of CNF templates and a
+        // `corpus.txt` of witness packets; a restarted engine ignores all
+        // three, and saving leaves them as found.
         let legacy = [
+            (
+                dir.join("warm_memos.json"),
+                "{\"version\": 1, \"pairs\": []}\n",
+            ),
             (
                 dir.join("blast_cache.txt"),
                 "# leapfrog-blast-cache v1\nt 3 2 =(v0:2,#11)\nc -3 1\nc -3 2\nc 3 -1 -2\nc 3\n",
@@ -1658,14 +1592,23 @@ mod tests {
             std::fs::write(path, text).unwrap();
         }
 
-        // A fresh engine restarted from the saved state replays every
-        // verdict from the reloaded memo — zero solver queries — and the
-        // certificate is byte-identical.
+        // A fresh engine restarted from the saved state answers from the
+        // recorded proof — no search, no solver — and the certificate is
+        // byte-identical.
         let mut second = EngineConfig::new().threads(1).with_state_dir(&dir).build();
         let report = second.state_report().expect("state must be reported");
-        assert!(!report.contains("skipped"), "{report}");
+        assert!(report.contains("1 recorded proofs"), "{report}");
         let warm_cert = cert_of(&second.check(&a, sa, &b, sb));
         assert_eq!(cold_cert, warm_cert);
+        let stats = second.last_run_stats();
+        assert_eq!(stats.outcome_replays, 1, "{stats:?}");
+        assert_eq!(
+            (stats.iterations, stats.entailment_checks, stats.wp_calls),
+            (0, 0, 0),
+            "{stats:?}"
+        );
+        assert_eq!(stats.queries.queries, 0, "{stats:?}");
+        assert_eq!(stats.extended, cold.extended, "{stats:?}");
         second.save_state(&dir).unwrap();
         for (path, text) in &legacy {
             assert_eq!(
@@ -1675,21 +1618,14 @@ mod tests {
                 path.display()
             );
         }
-        let stats = second.last_run_stats();
-        assert!(
-            stats.entailment_memo_hits > 0,
-            "restart must replay the persisted memo: {stats:?}"
-        );
-        assert_eq!(
-            stats.entailment_memo_hits, stats.entailment_checks,
-            "every verdict comes from the memo: {stats:?}"
-        );
-        assert_eq!(stats.queries.queries, 0, "{stats:?}");
 
-        // The memo document itself round-trips exactly.
-        let memos = first.memos_to_json();
-        let reparsed = memos_from_json(&memos).unwrap();
-        assert!(!reparsed.is_empty());
+        // The restarted engine re-saves the proof it loaded unchanged.
+        let proofs = first.proofs_to_jsonl();
+        assert_eq!(proofs.lines().count(), 1);
+        assert_eq!(
+            std::fs::read_to_string(dir.join(STATE_OUTCOME_FILE)).unwrap(),
+            proofs
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1713,7 +1649,7 @@ mod tests {
         assert_eq!(fp, route_fingerprint(&a.clone(), sa, &b.clone(), sb));
         assert_ne!(fp, route_fingerprint(&c, sc, &d, sd));
         // The packed value is exactly the persisted warm-state key, so
-        // routed memo import and intern-time claiming agree.
+        // routed proof import and intern-time claiming agree.
         let (half, half2) = pair_fingerprint(&a, sa, &b, sb);
         assert_eq!(fp, ((half as u128) << 64) | half2 as u128);
     }
@@ -1735,7 +1671,7 @@ mod tests {
         let cert_cd = cert_of(&donor.check(&c, sc, &d, sd));
         donor.save_state(&dir).unwrap();
 
-        // Reload into a 2-shard fleet: each shard keeps only the memos
+        // Reload into a 2-shard fleet: each shard keeps only the proofs
         // routed to it, and together they cover everything exactly once.
         let fp_ab = route_fingerprint(&a, sa, &b, sb);
         let fp_cd = route_fingerprint(&c, sc, &d, sd);
@@ -1743,43 +1679,37 @@ mod tests {
         let mut shards: Vec<Engine> = (0..workers)
             .map(|shard| {
                 let mut e = EngineConfig::new().threads(1).build();
-                e.import_memos_routed(&dir, &|fp| fp % workers == shard)
+                e.import_outcomes_routed(&dir, &|fp| fp % workers == shard)
                     .unwrap();
                 e
             })
             .collect();
-        let adopted: Vec<usize> = shards
+        let adopted: usize = shards
             .iter()
-            .map(|e| {
-                e.saved_warm
-                    .values()
-                    .flat_map(|entries| entries.iter().map(|(_, m)| m.len()))
-                    .sum()
-            })
-            .collect();
-        assert!(adopted.iter().sum::<usize>() > 0, "{adopted:?}");
+            .map(|e| e.saved_proofs.values().map(Vec::len).sum::<usize>())
+            .sum();
+        assert_eq!(adopted, 2);
         for (shard, engine) in shards.iter().enumerate() {
-            for key in engine.saved_warm.keys() {
+            for key in engine.saved_proofs.keys() {
                 let packed = ((key.0 as u128) << 64) | key.1 as u128;
                 assert_eq!(
                     packed % workers,
                     shard as u128,
-                    "memo routed to the wrong shard"
+                    "proof routed to the wrong shard"
                 );
             }
         }
 
-        // Each routed shard replays its own pair purely from the memo,
-        // byte-identical to the donor's certificate.
+        // Each routed shard answers its own pair from the proof, with no
+        // search, byte-identical to the donor's certificate.
         let home_ab = (fp_ab % workers) as usize;
         let home_cd = (fp_cd % workers) as usize;
         assert_eq!(cert_ab, cert_of(&shards[home_ab].check(&a, sa, &b, sb)));
         let run = shards[home_ab].last_run_stats();
-        assert!(run.entailment_memo_hits > 0, "{run:?}");
-        assert_eq!(run.entailment_memo_hits, run.entailment_checks);
+        assert_eq!((run.outcome_replays, run.iterations), (1, 0), "{run:?}");
         assert_eq!(cert_cd, cert_of(&shards[home_cd].check(&c, sc, &d, sd)));
         let run = shards[home_cd].last_run_stats();
-        assert!(run.entailment_memo_hits > 0, "{run:?}");
+        assert_eq!((run.outcome_replays, run.iterations), (1, 0), "{run:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -47,7 +47,7 @@ impl JsonError {
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "certificate JSON error: {}", self.msg)
+        write!(f, "JSON error: {}", self.msg)
     }
 }
 
@@ -60,11 +60,22 @@ impl Value {
     /// Pretty-prints the value with two-space indentation.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Renders the value with no whitespace at all: the compact form for
+    /// files only programs read.
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value; `indent` is the nesting level when
+    /// pretty-printing, `None` when compact.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|d| d + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -86,12 +97,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
+                    new_line(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
+                new_line(out, indent);
                 out.push(']');
             }
             Value::Obj(fields) => {
@@ -104,17 +113,23 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
+                    new_line(out, inner);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
+                new_line(out, indent);
                 out.push('}');
             }
         }
+    }
+}
+
+/// Starts a new, indented line when pretty-printing; nothing when compact.
+fn new_line(out: &mut String, indent: Option<usize>) {
+    if let Some(level) = indent {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
     }
 }
 
@@ -706,6 +721,12 @@ mod tests {
         ]);
         let text = v.render();
         assert_eq!(parse(&text).unwrap(), v);
+        let compact = v.render_compact();
+        assert_eq!(
+            compact,
+            "{\"a\":[1,true,null],\"s\":\"hi \\\"there\\\"\\n⟨q, 0⟩\"}"
+        );
+        assert_eq!(parse(&compact).unwrap(), v);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! The primary entry point is the [`Engine`]: built once from a typed
 //! [`EngineConfig`], it keeps every cross-query structure warm — the
-//! instantiation ledger, per-pair sums and reachability sets, per-guard
-//! solver sessions and entailment-verdict memos — so repeated and batched
-//! queries get cheaper over time. Results never depend on warmth.
+//! instantiation ledger, per-pair sums and reachability sets, and one
+//! outcome record per answered query — so repeated and batched queries
+//! get cheaper over time. Results never depend on warmth.
 //!
 //! ```
 //! use leapfrog::{Engine, EngineConfig, Outcome};
@@ -29,14 +29,12 @@
 //!
 //! let mut engine = EngineConfig::new().threads(1).build();
 //! assert!(engine.check(&a, sa, &b, sb).is_equivalent());
-//! // The second check of the same pair replays warm: the sum and
-//! // reachability sets are served from the engine's memos, the guard
-//! // sessions are still resident, and every recorded entailment verdict
-//! // answers without touching the solver.
+//! // The second check of the same pair is answered from the engine's
+//! // record of the first: the same certificate, with no WP and no solver.
 //! assert!(engine.check(&a, sa, &b, sb).is_equivalent());
 //! let warm = engine.last_run_stats();
-//! assert!(warm.sessions_reused > 0 && warm.sum_cache_hits > 0);
-//! assert_eq!(warm.entailment_memo_hits, warm.entailment_checks);
+//! assert_eq!((warm.outcome_replays, warm.sum_cache_hits), (1, 1));
+//! assert_eq!((warm.iterations, warm.queries.queries), (0, 0));
 //! ```
 //!
 //! The per-query [`Checker`] (and [`checker::check_language_equivalence`])

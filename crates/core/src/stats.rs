@@ -41,7 +41,8 @@ pub struct RunStats {
     /// one thread (0 only in a record that absorbed no run). `perfbench`
     /// reads it to check that the engine ran on one thread.
     pub threads: usize,
-    /// Total `Skip`-rule entailment decisions taken.
+    /// Total `Skip`-rule entailment decisions taken (0 on an outcome
+    /// replay).
     pub entailment_checks: u64,
     /// Premises fetched through the guard index, summed over all checks —
     /// what lowering actually saw.
@@ -49,11 +50,13 @@ pub struct RunStats {
     /// Premises a linear scan would have visited (Σ |R| per check) — what
     /// the pre-index pipeline paid for stage-1 template filtering.
     pub premises_total: u64,
-    /// Warm guard sessions already resident when this run attached to its
-    /// engine warm state (0 on a cold run).
-    pub sessions_reused: u64,
-    /// Entailment verdicts replayed from the engine's warm-state memo
-    /// without any solver contact.
+    /// 1 when the outcome was replayed from the engine's record of an
+    /// earlier run of the same pair and query shape — no WP, no solver,
+    /// every other work counter 0 — and 0 for a run that searched.
+    pub outcome_replays: u64,
+    /// Always 0: no per-entailment memo exists (a repeated query replays
+    /// its whole outcome, see [`RunStats::outcome_replays`]). Kept because
+    /// `perfbench` reads it.
     pub entailment_memo_hits: u64,
     /// Whether the pair's sum construction was served from the engine's
     /// intern table (1) or built for this run (0). For batches: hits
@@ -64,8 +67,8 @@ pub struct RunStats {
     pub reach_cache_hits: u64,
     /// Total wall-clock time of the run.
     pub wall_time: Duration,
-    /// SMT query statistics (the per-query solver plus the run's share of
-    /// the guard sessions).
+    /// SMT query statistics (the per-query solver plus the run's guard
+    /// sessions).
     pub queries: QueryStats,
     /// Per-phase time breakdown from the span tracer. Empty unless
     /// tracing is enabled (`LEAPFROG_TRACE=1`); purely observational —
@@ -81,18 +84,6 @@ impl RunStats {
             return 0.0;
         }
         1.0 - self.premises_matched as f64 / self.premises_total as f64
-    }
-
-    /// Guard-session context rebuilds performed by the clause-budget GC
-    /// in the query's session pool.
-    pub fn session_rebuilds(&self) -> u64 {
-        self.queries.session_rebuilds
-    }
-
-    /// Peak live-clause count observed in any single entailment-session
-    /// solver context — the quantity the session GC bounds.
-    pub fn live_clauses_peak(&self) -> u64 {
-        self.queries.live_clauses_peak
     }
 
     /// Fraction of the naive per-round `∀`-block validations the
@@ -123,8 +114,7 @@ impl RunStats {
         self.entailment_checks += other.entailment_checks;
         self.premises_matched += other.premises_matched;
         self.premises_total += other.premises_total;
-        self.sessions_reused += other.sessions_reused;
-        self.entailment_memo_hits += other.entailment_memo_hits;
+        self.outcome_replays += other.outcome_replays;
         self.sum_cache_hits += other.sum_cache_hits;
         self.reach_cache_hits += other.reach_cache_hits;
         self.wall_time += other.wall_time;
@@ -145,8 +135,8 @@ impl RunStats {
         };
         format!(
             "iterations={} extended={} skipped={} wp={} wp_calls={} scope={} queries={} \
-             index_hit={:.0}% cegar_rounds={} oracle_skip={:.0}% rebuilds={} peak_clauses={} \
-             warm(sessions={} memo={} sum={} reach={} ledger={}) time={:.2?}{}",
+             index_hit={:.0}% cegar_rounds={} oracle_skip={:.0}% peak_clauses={} \
+             warm(replay={} sum={} reach={} ledger={}) time={:.2?}{}",
             self.iterations,
             self.extended,
             self.skipped,
@@ -157,10 +147,8 @@ impl RunStats {
             100.0 * self.index_hit_rate(),
             self.queries.cegar_rounds,
             100.0 * self.oracle_skip_rate(),
-            self.queries.session_rebuilds,
             self.queries.live_clauses_peak,
-            self.sessions_reused,
-            self.entailment_memo_hits,
+            self.outcome_replays,
             self.sum_cache_hits,
             self.reach_cache_hits,
             self.queries.inst_ledger_hits,

@@ -137,7 +137,7 @@ impl Gauge {
 
 /// Fixed latency bucket upper bounds, in nanoseconds. The final
 /// implicit bucket is `+Inf`. Chosen to straddle the engine's range:
-/// sub-millisecond warm memo hits up to multi-second cold Table-2 rows.
+/// sub-millisecond outcome replays up to multi-second cold Table-2 rows.
 pub const BUCKET_BOUNDS_NS: [u64; 8] = [
     10_000,         // 10µs
     100_000,        // 100µs

@@ -57,8 +57,6 @@
 
 use std::fmt;
 
-pub mod dimacs;
-
 /// A propositional variable, identified by a dense index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Var(pub u32);
@@ -201,8 +199,7 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Adds another solver's counters into this one — used by warm
-    /// sessions to carry totals across context rebuilds.
+    /// Adds another solver's counters into this one.
     pub fn absorb(&mut self, other: &SolverStats) {
         self.decisions += other.decisions;
         self.propagations += other.propagations;
@@ -212,25 +209,6 @@ impl SolverStats {
         self.learnt_clauses += other.learnt_clauses;
         for (a, b) in self.lbd_histogram.iter_mut().zip(other.lbd_histogram) {
             *a += b;
-        }
-    }
-
-    /// The counters accumulated since `base` was snapshotted from the same
-    /// accumulator — the per-run share of counters that survive across
-    /// warm runs (mirrors `QueryStats::delta_since` one layer up).
-    pub fn delta_since(&self, base: &SolverStats) -> SolverStats {
-        let mut hist = [0u64; LBD_BUCKETS];
-        for (i, h) in hist.iter_mut().enumerate() {
-            *h = self.lbd_histogram[i] - base.lbd_histogram[i];
-        }
-        SolverStats {
-            decisions: self.decisions - base.decisions,
-            propagations: self.propagations - base.propagations,
-            conflicts: self.conflicts - base.conflicts,
-            restarts: self.restarts - base.restarts,
-            deleted_clauses: self.deleted_clauses - base.deleted_clauses,
-            learnt_clauses: self.learnt_clauses - base.learnt_clauses,
-            lbd_histogram: hist,
         }
     }
 }
@@ -262,7 +240,6 @@ pub struct Solver {
     n_clauses: usize,
     n_learnt: usize,
     max_learnt: f64,
-    root_clauses_added: u64,
     stats: SolverStats,
     /// Seen marks reused by conflict analysis.
     seen: Vec<bool>,
@@ -306,7 +283,6 @@ impl Solver {
             n_clauses: 0,
             n_learnt: 0,
             max_learnt: 2000.0,
-            root_clauses_added: 0,
             stats: SolverStats::default(),
             seen: Vec::new(),
             lbd_stamp: vec![0],
@@ -345,14 +321,6 @@ impl Solver {
     /// reduction compacts the arena, so every stored clause is live.
     pub fn num_clauses(&self) -> usize {
         self.n_clauses
-    }
-
-    /// The number of root-level [`Solver::add_clause`] calls so far — a
-    /// monotone O(1) growth meter (unlike [`Solver::num_clauses`], which
-    /// counts live clauses); incremental sessions budget their contexts
-    /// against it.
-    pub fn clauses_added(&self) -> u64 {
-        self.root_clauses_added
     }
 
     /// Solver statistics across all calls so far.
@@ -412,7 +380,6 @@ impl Solver {
         if self.unsat_at_root {
             return false;
         }
-        self.root_clauses_added += 1;
         // Simplify: remove duplicates and false literals; detect tautology.
         // The scratch buffer keeps the template-replay path allocation-free.
         let mut cl = std::mem::take(&mut self.add_buf);

@@ -14,11 +14,11 @@
 //!    must never change an answer.
 //! 3. **restart/merge pass** — the 4-worker fleet saves its state on
 //!    shutdown (`shard-0..3/` under `--state-dir`); a 2-worker fleet
-//!    then reloads the same directory through the merge path (memos
-//!    re-route by fingerprint) and replays the suite. Bytes must match
-//!    the earlier passes and the fleet's aggregate stats must show
-//!    entailment-memo replays, proving the merged state actually warmed
-//!    the new shards.
+//!    then reloads the same directory through the merge path (saved
+//!    proofs re-route by fingerprint) and replays the suite. Bytes must
+//!    match the earlier passes and the fleet's aggregate stats must show
+//!    outcome replays, proving the merged state actually reached the new
+//!    shards.
 //!
 //! Each run appends one snapshot line (commit-less; `kind: "fleet"`) to
 //! `LEAPFROG_BENCH_HISTORY` (default `BENCH_history.jsonl`) with the
@@ -108,19 +108,17 @@ fn main() {
     // Leg 3: save at 4 workers, reload at 2 (the merge path).
     let (save_pass, _, _) = run_pass(4, Some(&state_dir), &names, clients, &mut failures);
     failures += diff(&single, &save_pass, "workers=1", "workers=4+save");
-    let (merged, _, memo_hits) = run_pass(2, Some(&state_dir), &names, clients, &mut failures);
+    let (merged, _, replays) = run_pass(2, Some(&state_dir), &names, clients, &mut failures);
     failures += diff(&single, &merged, "workers=1", "workers=2+merge");
-    if memo_hits == 0 {
+    if replays == 0 {
         failures += 1;
-        eprintln!(
-            "FAIL merge: the 2-worker fleet replayed no memoized verdicts from the 4-worker save"
-        );
+        eprintln!("FAIL merge: the 2-worker fleet replayed no proof from the 4-worker save");
     } else {
-        println!("merge leg: 2-worker fleet replayed {memo_hits} memoized verdicts from the 4-worker save");
+        println!("merge leg: 2-worker fleet replayed {replays} proofs from the 4-worker save");
     }
     let _ = std::fs::remove_dir_all(&state_dir);
 
-    append_history(scale, cores, clients, wall_1, wall_4, speedup, memo_hits);
+    append_history(scale, cores, clients, wall_1, wall_4, speedup, replays);
 
     if gate && cores >= 4 && speedup <= 1.0 {
         failures += 1;
@@ -142,7 +140,7 @@ fn main() {
 /// `clients` concurrent wire clients, shuts the fleet down (saving state
 /// when `state_dir` is set), and returns the verdict bytes, the
 /// wall-clock of the concurrent check phase, and the fleet's aggregate
-/// entailment-memo replays.
+/// outcome replays.
 fn run_pass(
     workers: usize,
     state_dir: Option<&std::path::Path>,
@@ -191,8 +189,8 @@ fn run_pass(
     let wall = start.elapsed();
 
     let mut client = Client::connect(&addr).expect("connect for stats");
-    let memo_hits = match client.fleet_stats() {
-        Ok(fleet) => fleet.aggregate.stats.entailment_memo_hits,
+    let replays = match client.fleet_stats() {
+        Ok(fleet) => fleet.aggregate.stats.outcome_replays,
         Err(e) => {
             *failures += 1;
             eprintln!("FAIL workers={workers}: fleet stats: {e}");
@@ -204,7 +202,7 @@ fn run_pass(
         eprintln!("FAIL workers={workers}: shutdown: {e}");
     }
     let _ = handle.join();
-    (verdicts, wall, memo_hits)
+    (verdicts, wall, replays)
 }
 
 /// Byte-diffs two verdict maps; returns the mismatch count.
@@ -240,7 +238,7 @@ fn append_history(
     wall_1: Duration,
     wall_4: Duration,
     speedup: f64,
-    merge_memo_hits: u64,
+    merge_replays: u64,
 ) {
     use std::io::Write;
     let path = std::env::var("LEAPFROG_BENCH_HISTORY")
@@ -258,7 +256,7 @@ fn append_history(
         ("workers1_secs", Value::Num(wall_1.as_secs_f64())),
         ("workers4_secs", Value::Num(wall_4.as_secs_f64())),
         ("fleet_speedup", Value::Num(speedup)),
-        ("merge_memo_hits", json::num(merge_memo_hits as usize)),
+        ("merge_outcome_replays", json::num(merge_replays as usize)),
     ]);
     let line = v
         .render()

@@ -20,10 +20,13 @@
 //! tampered copy (corrupted leap flag) must be rejected with a named
 //! obligation.
 //!
-//! After the rows, the gauntlet re-checks the first row (guaranteeing at
-//! least one warm memo hit) and scrapes the daemon's `metrics` request:
-//! the Prometheus exposition must parse, the core counters (checks,
-//! entailment checks, memo hits, connections) must be nonzero, and the
+//! After the rows, the gauntlet re-checks the first row, which must come
+//! back as an outcome replay (no iteration, no solver query, the same
+//! bytes), and scrapes the daemon's `metrics` request: the Prometheus
+//! exposition must parse, the core counters (checks, outcome replays,
+//! connections, requests) must be nonzero, the entailment-check counter
+//! must cover every entailment check the replies reported (a restarted
+//! daemon may answer every row from saved proofs, with none), and the
 //! scraped check count must agree with the engine's own `stats` reply.
 //!
 //! `--expect-workers N` is the fleet leg: the shard-labelled `stats`
@@ -100,6 +103,9 @@ fn main() {
     let mut failures = 0usize;
     let mut certified = 0usize;
     let mut tamper_target: Option<(String, leapfrog::Certificate)> = None;
+    let mut first_bytes: Option<String> = None;
+    // Entailment checks the replies report: searches, not replays.
+    let mut searched = 0u64;
     for bench in &rows {
         let local = outcome_to_value(&check_language_equivalence(
             &bench.left,
@@ -108,8 +114,10 @@ fn main() {
             bench.right_start,
         ))
         .render();
+        first_bytes.get_or_insert_with(|| local.clone());
         match client.check_named(bench.name) {
             Ok(reply) => {
+                searched += reply.stats.entailment_checks;
                 let verdict_ok = reply.outcome.is_equivalent() == bench.expect_equivalent;
                 let bytes_ok = reply.outcome_json == local;
                 if verdict_ok && bytes_ok {
@@ -197,13 +205,35 @@ fn main() {
         }
     }
 
-    // Re-check the first row: it is warm now, so the reply is served
-    // with at least one entailment-memo hit — making the memo-hit
-    // counter below deterministic rather than scale-dependent.
-    if let Some(first) = rows.first() {
-        if let Err(e) = client.check_named(first.name) {
-            failures += 1;
-            eprintln!("FAIL {:<28} warm re-check: {e}", first.name);
+    // Re-check the first row: the daemon has answered it already, so it
+    // must replay the recorded outcome — one replay, no iteration or
+    // solver query, the same bytes. This also makes the replay counter
+    // below deterministic rather than scale-dependent.
+    if let (Some(first), Some(local)) = (rows.first(), &first_bytes) {
+        match client.check_named(first.name) {
+            Ok(reply) => {
+                let s = &reply.stats;
+                if reply.outcome_json == *local
+                    && (s.outcome_replays, s.iterations, s.queries.queries) == (1, 0, 0)
+                {
+                    println!(
+                        "ok   {:<28} warm re-check replayed its outcome ({} bytes, no search)",
+                        first.name,
+                        reply.outcome_json.len()
+                    );
+                } else {
+                    failures += 1;
+                    eprintln!(
+                        "FAIL {:<28} warm re-check is not a byte-identical outcome replay \
+                         ({} replays, {} iterations, {} solver queries)",
+                        first.name, s.outcome_replays, s.iterations, s.queries.queries
+                    );
+                }
+            }
+            Err(e) => {
+                failures += 1;
+                eprintln!("FAIL {:<28} warm re-check: {e}", first.name);
+            }
         }
     }
 
@@ -218,11 +248,10 @@ fn main() {
             };
             engine_checks = field("checks");
             println!(
-                "engine: {} checks, {} pairs interned, {} memo hits, {} sessions reused",
+                "engine: {} checks, {} pairs interned, {} outcome replays",
                 field("checks"),
                 field("pairs_interned"),
-                field("entailment_memo_hits"),
-                field("sessions_reused"),
+                field("outcome_replays"),
             );
         }
         Err(e) => {
@@ -233,7 +262,7 @@ fn main() {
     if let Some(expected) = expect_workers {
         failures += check_fleet(&mut client, expected);
     }
-    failures += scrape_metrics(&mut client, engine_checks, expect_workers);
+    failures += scrape_metrics(&mut client, engine_checks, searched, expect_workers);
     if shutdown {
         if let Err(e) = client.shutdown() {
             failures += 1;
@@ -298,12 +327,14 @@ fn check_fleet(client: &mut leapfrog_serve::Client, expected: usize) -> usize {
 
 /// Scrapes the daemon's `metrics` request and validates it: the
 /// Prometheus text must parse back into a snapshot, the core counters
-/// must be live, the scraped check count must match what the engine's
-/// own `stats` reply said, and — on a fleet leg — every shard's
-/// suffixed metrics must appear. Returns the failure count.
+/// must be live, the entailment-check counter must cover the `searched`
+/// checks the replies reported, the scraped check count must match what
+/// the engine's own `stats` reply said, and — on a fleet leg — every
+/// shard's suffixed metrics must appear. Returns the failure count.
 fn scrape_metrics(
     client: &mut leapfrog_serve::Client,
     engine_checks: usize,
+    searched: u64,
     expect_workers: Option<usize>,
 ) -> usize {
     let (text, _json) = match client.metrics() {
@@ -324,8 +355,7 @@ fn scrape_metrics(
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     for name in [
         "leapfrog_checks_total",
-        "leapfrog_entailment_checks_total",
-        "leapfrog_entailment_memo_hits_total",
+        "leapfrog_outcome_replays_total",
         "leapfrog_connections_total",
         "leapfrog_requests_total",
     ] {
@@ -333,6 +363,13 @@ fn scrape_metrics(
             failures += 1;
             eprintln!("FAIL metrics counter {name} is zero after the gauntlet");
         }
+    }
+    if counter("leapfrog_entailment_checks_total") < searched {
+        failures += 1;
+        eprintln!(
+            "FAIL metrics: leapfrog_entailment_checks_total={} but the replies reported {searched}",
+            counter("leapfrog_entailment_checks_total")
+        );
     }
     if counter("leapfrog_checks_total") != engine_checks as u64 {
         failures += 1;
@@ -362,10 +399,10 @@ fn scrape_metrics(
     }
     if failures == 0 {
         println!(
-            "metrics: exposition parses; checks={} entailment={} memo_hits={} connections={}",
+            "metrics: exposition parses; checks={} entailment={} replays={} connections={}",
             counter("leapfrog_checks_total"),
             counter("leapfrog_entailment_checks_total"),
-            counter("leapfrog_entailment_memo_hits_total"),
+            counter("leapfrog_outcome_replays_total"),
             counter("leapfrog_connections_total"),
         );
     }

@@ -22,9 +22,9 @@
 //!   instead of queuing without bound.
 //! * **cross-process persistence**, per shard under `shard-<i>/` in the
 //!   state dir: on `shutdown` each shard serializes its
-//!   instantiation-ledger verdicts and entailment-verdict memos, and a
-//!   restarted daemon reloads them — even at
-//!   a *different* worker count, in which case saved memos re-route by
+//!   instantiation-ledger verdicts and recorded proofs, and a restarted
+//!   daemon reloads them — even at
+//!   a *different* worker count, in which case saved proofs re-route by
 //!   fingerprint to their new home shard. Answers stay byte-identical,
 //!   only the wall-clock changes (asserted in `tests/serve.rs`).
 //!
@@ -37,7 +37,7 @@
 //! `check_language_equivalence` (including across worker counts), the
 //! second measures fleet wall-clock at 1 vs 4 workers plus the
 //! save-at-4/load-at-2 merge leg, the third proves a cold restart from
-//! a saved state dir replays memoized verdicts without changing a byte.
+//! a saved state dir replays recorded proofs without changing a byte.
 
 #![warn(missing_docs)]
 

@@ -69,7 +69,15 @@
 //! `blast_cache_*` counters read 0). Older peers also sent a witness's
 //! pre-minimization packet length as `original_bits`; a witness packet
 //! now always keeps its lifted length, so the key is no longer written and
-//! is ignored when present.
+//! is ignored when present. Older peers also sent the retained guard
+//! sessions' and the per-entailment memo's counters: `sessions_reused`
+//! and `entailment_memo_hits` in run and engine stats,
+//! `queries.session_rebuilds` in run stats and `session_evictions` in
+//! engine stats. Sessions now live for one run and a repeated query
+//! replays its whole outcome (the new `outcome_replays` key), so these
+//! keys are no longer written and are ignored when present (the decoded
+//! `entailment_memo_hits` and `session_rebuilds` read 0); an
+//! `outcome_replays` key missing from an older peer's frame decodes as 0.
 //!
 //! `metrics` and `slow_log` are answered by the connection thread
 //! directly from the process-global registry/trace collector — they
@@ -168,7 +176,7 @@ pub enum PairSpec {
 
 /// Per-query option overrides carried by a check request. `None` keeps
 /// the server engine's configuration. Only the *semantic* knobs travel —
-/// scheduling (threads, GC, caching) is the daemon's business.
+/// scheduling (threads, caching) is the daemon's business.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireOptions {
     /// Override for bisimulation leaps.
@@ -750,7 +758,6 @@ pub fn query_stats_to_value(q: &QueryStats) -> Value {
         ("cegar_rounds", json::num(q.cegar_rounds as usize)),
         ("blocks_considered", json::num(q.blocks_considered as usize)),
         ("blocks_validated", json::num(q.blocks_validated as usize)),
-        ("session_rebuilds", json::num(q.session_rebuilds as usize)),
         ("live_clauses_peak", json::num(q.live_clauses_peak as usize)),
         ("inst_ledger_hits", json::num(q.inst_ledger_hits as usize)),
         ("sat", solver_stats_to_value(&q.sat)),
@@ -772,7 +779,7 @@ pub fn query_stats_from_value(v: &Value) -> Result<QueryStats, String> {
         cegar_rounds: n("cegar_rounds")?,
         blocks_considered: n("blocks_considered")?,
         blocks_validated: n("blocks_validated")?,
-        session_rebuilds: n("session_rebuilds")?,
+        session_rebuilds: 0,
         live_clauses_peak: n("live_clauses_peak")?,
         blast_cache_hits: 0,
         blast_cache_misses: 0,
@@ -964,11 +971,7 @@ pub fn run_stats_to_value(s: &RunStats) -> Value {
         ("entailment_checks", json::num(s.entailment_checks as usize)),
         ("premises_matched", json::num(s.premises_matched as usize)),
         ("premises_total", json::num(s.premises_total as usize)),
-        ("sessions_reused", json::num(s.sessions_reused as usize)),
-        (
-            "entailment_memo_hits",
-            json::num(s.entailment_memo_hits as usize),
-        ),
+        ("outcome_replays", json::num(s.outcome_replays as usize)),
         ("sum_cache_hits", json::num(s.sum_cache_hits as usize)),
         ("reach_cache_hits", json::num(s.reach_cache_hits as usize)),
         ("wall_time_nanos", duration_to_value(s.wall_time)),
@@ -986,16 +989,17 @@ pub fn run_stats_from_value(v: &Value) -> Result<RunStats, String> {
     let us = |k: &str| -> Result<usize, String> {
         json::as_usize(json::get(v, k).map_err(err)?).map_err(err)
     };
+    // Absent in frames from peers that predate the counter.
+    let newer = |k: &str| match json::get(v, k) {
+        Ok(_) => n(k),
+        Err(_) => Ok(0),
+    };
     Ok(RunStats {
         iterations: n("iterations")?,
         extended: n("extended")?,
         skipped: n("skipped")?,
         wp_generated: n("wp_generated")?,
-        // Absent in frames from peers that predate the counter.
-        wp_calls: match json::get(v, "wp_calls") {
-            Ok(_) => n("wp_calls")?,
-            Err(_) => 0,
-        },
+        wp_calls: newer("wp_calls")?,
         scope_pairs: us("scope_pairs")?,
         max_formula_size: us("max_formula_size")?,
         witnesses_confirmed: n("witnesses_confirmed")?,
@@ -1005,8 +1009,8 @@ pub fn run_stats_from_value(v: &Value) -> Result<RunStats, String> {
         entailment_checks: n("entailment_checks")?,
         premises_matched: n("premises_matched")?,
         premises_total: n("premises_total")?,
-        sessions_reused: n("sessions_reused")?,
-        entailment_memo_hits: n("entailment_memo_hits")?,
+        outcome_replays: newer("outcome_replays")?,
+        entailment_memo_hits: 0,
         sum_cache_hits: n("sum_cache_hits")?,
         reach_cache_hits: n("reach_cache_hits")?,
         wall_time: duration_from_value(json::get(v, "wall_time_nanos").map_err(err)?)?,
@@ -1028,14 +1032,9 @@ pub fn engine_stats_to_value(
         ("pairs_interned", json::num(s.pairs_interned as usize)),
         ("sum_cache_hits", json::num(s.sum_cache_hits as usize)),
         ("reach_cache_hits", json::num(s.reach_cache_hits as usize)),
-        ("sessions_reused", json::num(s.sessions_reused as usize)),
-        (
-            "entailment_memo_hits",
-            json::num(s.entailment_memo_hits as usize),
-        ),
+        ("outcome_replays", json::num(s.outcome_replays as usize)),
         ("warm_evictions", json::num(s.warm_evictions as usize)),
         ("pair_evictions", json::num(s.pair_evictions as usize)),
-        ("session_evictions", json::num(s.session_evictions as usize)),
         ("ledger_evictions", json::num(s.ledger_evictions as usize)),
         ("ledger_len", json::num(ledger_len)),
         (
@@ -1082,11 +1081,13 @@ pub fn engine_stats_reply_from_value(v: &Value) -> Result<EngineStatsReply, Stri
             pairs_interned: n("pairs_interned")?,
             sum_cache_hits: n("sum_cache_hits")?,
             reach_cache_hits: n("reach_cache_hits")?,
-            sessions_reused: n("sessions_reused")?,
-            entailment_memo_hits: n("entailment_memo_hits")?,
+            // Absent in frames from peers that predate the counter.
+            outcome_replays: match json::get(v, "outcome_replays") {
+                Ok(_) => n("outcome_replays")?,
+                Err(_) => 0,
+            },
             warm_evictions: n("warm_evictions")?,
             pair_evictions: n("pair_evictions")?,
-            session_evictions: n("session_evictions")?,
             ledger_evictions: n("ledger_evictions")?,
         },
         ledger_len: json::as_usize(json::get(v, "ledger_len").map_err(err)?).map_err(err)?,
@@ -1128,11 +1129,9 @@ impl FleetStats {
             a.pairs_interned += s.stats.pairs_interned;
             a.sum_cache_hits += s.stats.sum_cache_hits;
             a.reach_cache_hits += s.stats.reach_cache_hits;
-            a.sessions_reused += s.stats.sessions_reused;
-            a.entailment_memo_hits += s.stats.entailment_memo_hits;
+            a.outcome_replays += s.stats.outcome_replays;
             a.warm_evictions += s.stats.warm_evictions;
             a.pair_evictions += s.stats.pair_evictions;
-            a.session_evictions += s.stats.session_evictions;
             a.ledger_evictions += s.stats.ledger_evictions;
             aggregate.ledger_len += s.ledger_len;
             if let Some(r) = &s.state_report {

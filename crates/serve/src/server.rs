@@ -31,11 +31,12 @@
 //! `shard-<i>/` inside it. At startup, a layout matching the current
 //! worker count reloads natively; any other layout (different worker
 //! count, or a pre-fleet single-engine dir) goes through the merge
-//! path: every saved memo re-routes to the shard its fingerprint now
+//! path: every saved proof re-routes to the shard its fingerprint now
 //! maps to, and the content-keyed ledger degrades to cold. A `shutdown`
 //! request saves every shard and removes stale state before the listener
-//! closes. Files the daemon does not own (a `corpus.txt` or
-//! `blast_cache.txt` left by an older daemon) are ignored and kept.
+//! closes. Files the daemon does not own (a `warm_memos.json`,
+//! `corpus.txt` or `blast_cache.txt` left by an older daemon) are
+//! ignored and kept.
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -45,7 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use leapfrog::engine::{route_fingerprint, STATE_LEDGER_FILE, STATE_MEMO_FILE};
+use leapfrog::engine::{route_fingerprint, STATE_LEDGER_FILE, STATE_OUTCOME_FILE};
 use leapfrog::json::{self, Value};
 use leapfrog::{Engine, EngineConfig, QuerySpec};
 use leapfrog_p4a::ast::{Automaton, StateId};
@@ -194,7 +195,7 @@ enum StatePlan {
     /// shard `i` loads `shard-<i>/` natively (missing dirs cold-start).
     Native,
     /// The layout was saved at a different worker count (or by a
-    /// pre-fleet single engine): every listed source dir's memos are
+    /// pre-fleet single engine): every listed source dir's proofs are
     /// re-routed by fingerprint into whichever shard now owns them.
     Merge(Vec<PathBuf>),
 }
@@ -217,7 +218,7 @@ fn scan_state(dir: &Path, workers: usize) -> StatePlan {
         }
     }
     found.sort_unstable();
-    let legacy_root = [STATE_LEDGER_FILE, STATE_MEMO_FILE]
+    let legacy_root = [STATE_LEDGER_FILE, STATE_OUTCOME_FILE]
         .iter()
         .any(|f| dir.join(f).exists());
     let exact = found.iter().copied().eq(0..workers);
@@ -238,7 +239,7 @@ fn scan_state(dir: &Path, workers: usize) -> StatePlan {
 /// legacy root-level files and `shard-<j>` dirs with `j >= workers`.
 /// Called after a shutdown save, so the next start reloads natively.
 fn cleanup_stale_state(dir: &Path, workers: usize) {
-    for f in [STATE_LEDGER_FILE, STATE_MEMO_FILE] {
+    for f in [STATE_LEDGER_FILE, STATE_OUTCOME_FILE] {
         let _ = std::fs::remove_file(dir.join(f));
     }
     if let Ok(rd) = std::fs::read_dir(dir) {
@@ -352,7 +353,7 @@ fn resolve_workers(requested: usize) -> usize {
 
 /// Builds one shard's engine per the state plan: native reload from its
 /// own `shard-<i>/` dir, or a cold engine fed the fingerprint-routed
-/// slice of every merge source (memos re-route; the ledger is
+/// slice of every merge source (proofs re-route; the ledger is
 /// content-keyed, not routed, and degrades to cold).
 fn build_shard_engine(
     config: EngineConfig,
@@ -371,7 +372,7 @@ fn build_shard_engine(
             let keep = |fp: u128| fp % workers as u128 == shard as u128;
             for src in sources {
                 // Unreadable sources degrade to cold, like load_state.
-                let _ = engine.import_memos_routed(src, &keep);
+                let _ = engine.import_outcomes_routed(src, &keep);
             }
             engine
         }
@@ -434,8 +435,7 @@ fn shard_loop(
             .set(depth.load(Ordering::SeqCst) as i64);
         run_checks(&mut engine, checks);
         let s = engine.stats();
-        let evictions =
-            s.warm_evictions + s.pair_evictions + s.session_evictions + s.ledger_evictions;
+        let evictions = s.warm_evictions + s.pair_evictions + s.ledger_evictions;
         shard_meters.checks.add(s.checks - last.checks);
         shard_meters.evictions.add(evictions - last.evictions);
         last = ShardSnapshot {

@@ -35,7 +35,7 @@ fn row_names() -> Vec<String> {
 }
 
 /// Poses every row from `clients` concurrent connections and returns
-/// the outcome bytes per row, plus the fleet's aggregate memo replays.
+/// the outcome bytes per row, plus the fleet's aggregate outcome replays.
 fn drive(addr: &str, names: &[String], clients: usize) -> (BTreeMap<String, String>, u64) {
     let mut verdicts = BTreeMap::new();
     std::thread::scope(|s| {
@@ -59,7 +59,7 @@ fn drive(addr: &str, names: &[String], clients: usize) -> (BTreeMap<String, Stri
     });
     let mut client = Client::connect(addr).expect("connect for stats");
     let fleet = client.fleet_stats().expect("fleet stats");
-    (verdicts, fleet.aggregate.stats.entailment_memo_hits)
+    (verdicts, fleet.aggregate.stats.outcome_replays)
 }
 
 fn shutdown(addr: &str, handle: std::thread::JoinHandle<std::io::Result<()>>) {
@@ -112,16 +112,17 @@ fn state_saved_at_four_workers_warms_a_two_worker_fleet() {
     std::fs::write(&legacy, "# leapfrog-witness-corpus v1\n").unwrap();
 
     // Pass 2: a 2-shard fleet reloads the same directory (merge path:
-    // 4 saved shards re-route onto 2) and must replay memoized verdicts
-    // without changing a byte.
+    // 4 saved shards re-route onto 2) and must answer every row from its
+    // saved proof without changing a byte.
     let (addr, handle) = start(2, Some(&dir));
-    let (warm, memo_hits) = drive(&addr, &names, 3);
+    let (warm, replays) = drive(&addr, &names, 3);
     shutdown(&addr, handle);
 
     assert_eq!(cold, warm, "the merged restart must not change a byte");
-    assert!(
-        memo_hits > 0,
-        "the 2-shard fleet must replay entailment memos merged from the 4-shard save"
+    assert_eq!(
+        replays,
+        names.len() as u64,
+        "the 2-shard fleet must replay every proof merged from the 4-shard save"
     );
 
     // The merge-path shutdown re-saved at 2 workers and removed the

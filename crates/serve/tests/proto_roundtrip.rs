@@ -235,8 +235,9 @@ fn run_stats_roundtrip_randomized() {
             entailment_checks: next() % 10_000,
             premises_matched: next() % 1_000_000,
             premises_total: next() % 10_000_000,
-            sessions_reused: next() % 100,
-            entailment_memo_hits: next() % 10_000,
+            outcome_replays: next() % 2,
+            // Never sent: no per-entailment memo exists.
+            entailment_memo_hits: 0,
             sum_cache_hits: next() % 10,
             reach_cache_hits: next() % 10,
             wall_time: Duration::from_nanos(next() % 10_000_000_000),
@@ -245,7 +246,6 @@ fn run_stats_roundtrip_randomized() {
                 cegar_rounds: next() % 1_000,
                 blocks_considered: next() % 100_000,
                 blocks_validated: next() % 100_000,
-                session_rebuilds: next() % 50,
                 live_clauses_peak: next() % 1_000_000,
                 inst_ledger_hits: next() % 10_000,
                 sat: SolverStats {
@@ -290,16 +290,14 @@ fn random_stats_reply(next: &mut impl FnMut() -> u64) -> EngineStatsReply {
             pairs_interned: next() % 1_000,
             sum_cache_hits: next() % 10_000,
             reach_cache_hits: next() % 10_000,
-            sessions_reused: next() % 10_000,
-            entailment_memo_hits: next() % 100_000,
+            outcome_replays: next() % 100_000,
             warm_evictions: next() % 1_000,
             pair_evictions: next() % 1_000,
-            session_evictions: next() % 1_000,
             ledger_evictions: next() % 1_000,
         },
         ledger_len: (next() % 100_000) as usize,
         state_report: if next().is_multiple_of(2) {
-            Some(format!("loaded {} memoized verdicts", next() % 500))
+            Some(format!("loaded {} recorded proofs", next() % 500))
         } else {
             None
         },
@@ -395,10 +393,14 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     // counters right after `threads`; peers with a cross-query blast
     // cache wrote its hit and miss counters right after
     // `queries.live_clauses_peak`, and its size as `cache_entries` right
-    // after `ledger_len` in the engine stats object; and peers with a
+    // after `ledger_len` in the engine stats object; peers with a
     // segment-deleting witness minimizer wrote a witness's
-    // `original_bits`. Such frames must decode to the same values as the
-    // frames without them.
+    // `original_bits`; and peers with retained guard sessions and a
+    // per-entailment memo wrote `sessions_reused` and
+    // `entailment_memo_hits` in run and engine stats,
+    // `queries.session_rebuilds` and the engine's `session_evictions`,
+    // but no `outcome_replays`. Such frames must decode to the same
+    // values as the frames without them.
     let stats = RunStats {
         iterations: 7,
         entailment_checks: 5,
@@ -443,8 +445,33 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
             for (i, k) in cache_keys.iter().enumerate() {
                 fields.insert(after_peak + i, (k.to_string(), json::num(91 + i)));
             }
+            let after_validated = fields
+                .iter()
+                .position(|(k, _)| k == "blocks_validated")
+                .unwrap()
+                + 1;
+            fields.insert(
+                after_validated,
+                ("session_rebuilds".to_string(), json::num(6)),
+            );
         }
         other => panic!("queries is not an object: {}", other.render()),
+    }
+    // The session and memo counters those peers wrote in place of
+    // `outcome_replays`.
+    let memo_keys = ["sessions_reused", "entailment_memo_hits"];
+    match &mut v {
+        json::Value::Obj(fields) => {
+            let at = fields
+                .iter()
+                .position(|(k, _)| k == "outcome_replays")
+                .unwrap();
+            fields.remove(at);
+            for (i, k) in memo_keys.iter().enumerate() {
+                fields.insert(at + i, (k.to_string(), json::num(40 + i)));
+            }
+        }
+        other => panic!("stats is not an object: {}", other.render()),
     }
     // The keys those peers wrote beside `threads`.
     let frontier_keys = ["parallel_batches", "parallel_checks", "merge_rechecks"];
@@ -459,14 +486,23 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     }
     let older = v.render();
     assert!(older.contains(&format!("\"{key}\": {{")), "{older}");
-    for k in frontier_keys.iter().chain(&cache_keys) {
+    for k in frontier_keys
+        .iter()
+        .chain(&cache_keys)
+        .chain(&memo_keys)
+        .chain(&["session_rebuilds"])
+    {
         assert!(older.contains(&format!("\"{k}\": ")), "{older}");
     }
+    assert!(!older.contains("outcome_replays"), "{older}");
     let decoded = run_stats_from_value(&json::parse(&older).expect("frame parses"))
         .expect("a frame with racing counters decodes");
     assert_eq!(run_stats_to_value(&decoded).render(), current);
     assert_eq!(decoded.queries.sat.decisions, 11);
     assert_eq!(decoded.queries.blast_cache_hits, 0);
+    assert_eq!(decoded.queries.session_rebuilds, 0);
+    assert_eq!(decoded.entailment_memo_hits, 0);
+    assert_eq!(decoded.outcome_replays, 0);
     assert_eq!(decoded.iterations, 7);
 
     let reply = EngineStatsReply {
@@ -476,15 +512,32 @@ fn stats_frames_with_sat_racing_counters_decode_unchanged() {
     };
     let current = engine_stats_reply_to_value(&reply).render();
     let mut v = engine_stats_reply_to_value(&reply);
+    let engine_memo_keys = [
+        "sessions_reused",
+        "entailment_memo_hits",
+        "session_evictions",
+    ];
     match &mut v {
         json::Value::Obj(fields) => {
             let after = fields.iter().position(|(k, _)| k == "ledger_len").unwrap() + 1;
             fields.insert(after, ("cache_entries".to_string(), json::num(1234)));
+            let at = fields
+                .iter()
+                .position(|(k, _)| k == "outcome_replays")
+                .unwrap();
+            fields.remove(at);
+            for (i, k) in engine_memo_keys.iter().enumerate() {
+                fields.insert(at + i, (k.to_string(), json::num(70 + i)));
+            }
         }
         other => panic!("engine stats is not an object: {}", other.render()),
     }
     let older = v.render();
     assert!(older.contains("\"cache_entries\": 1234"), "{older}");
+    for k in engine_memo_keys {
+        assert!(older.contains(&format!("\"{k}\": ")), "{older}");
+    }
+    assert!(!older.contains("outcome_replays"), "{older}");
     let decoded = engine_stats_reply_from_value(&json::parse(&older).expect("frame parses"))
         .expect("engine stats with cache_entries decode");
     assert_eq!(decoded, reply);

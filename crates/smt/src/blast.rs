@@ -271,12 +271,6 @@ impl BlastContext {
     pub fn num_clauses(&self) -> usize {
         self.solver.num_clauses()
     }
-
-    /// Monotone count of root-level clause insertions, in O(1) — the
-    /// growth meter incremental sessions budget their rebuilds against.
-    pub fn clauses_added(&self) -> u64 {
-        self.solver.clauses_added()
-    }
 }
 
 fn negate(b: BBit) -> BBit {

@@ -69,7 +69,8 @@ pub struct QueryStats {
     /// oracle skips blocks whose support valuation is unchanged since
     /// their last successful validation, so this is ≤ `blocks_considered`.
     pub blocks_validated: u64,
-    /// Guard-session context rebuilds triggered by the clause-budget GC.
+    /// Always 0: guard sessions live for one run and never rebuild their
+    /// context. Kept because `perfbench` still reads it.
     pub session_rebuilds: u64,
     /// Peak live-clause count observed in any single solver context.
     pub live_clauses_peak: u64,
@@ -85,8 +86,8 @@ pub struct QueryStats {
     /// CDCL solver counters (decisions, propagations, conflicts, restarts,
     /// learnt/deleted clauses, learn-time LBD histogram) summed over every
     /// solver context that served these queries: entailment-session
-    /// contexts (across GC rebuilds), one-shot contexts and the
-    /// quantifier-free validation solves of the CEGAR oracle.
+    /// contexts, one-shot contexts and the quantifier-free validation
+    /// solves of the CEGAR oracle.
     pub sat: SolverStats,
     /// Wall-clock time per query, in the order issued.
     pub durations: Vec<Duration>,
@@ -106,32 +107,10 @@ impl QueryStats {
         self.cegar_rounds += other.cegar_rounds;
         self.blocks_considered += other.blocks_considered;
         self.blocks_validated += other.blocks_validated;
-        self.session_rebuilds += other.session_rebuilds;
         self.live_clauses_peak = self.live_clauses_peak.max(other.live_clauses_peak);
         self.inst_ledger_hits += other.inst_ledger_hits;
         self.sat.absorb(&other.sat);
         self.durations.extend(other.durations.iter().copied());
-    }
-
-    /// The statistics accumulated since `base` was snapshotted from the
-    /// same accumulator: counters subtract, durations keep the suffix, and
-    /// `live_clauses_peak` (an all-time maximum) carries over unchanged.
-    /// The persistent engine uses this to report per-run numbers from
-    /// session pools that stay warm across runs.
-    pub fn delta_since(&self, base: &QueryStats) -> QueryStats {
-        QueryStats {
-            queries: self.queries - base.queries,
-            cegar_rounds: self.cegar_rounds - base.cegar_rounds,
-            blocks_considered: self.blocks_considered - base.blocks_considered,
-            blocks_validated: self.blocks_validated - base.blocks_validated,
-            session_rebuilds: self.session_rebuilds - base.session_rebuilds,
-            live_clauses_peak: self.live_clauses_peak,
-            blast_cache_hits: 0,
-            blast_cache_misses: 0,
-            inst_ledger_hits: self.inst_ledger_hits - base.inst_ledger_hits,
-            sat: self.sat.delta_since(&base.sat),
-            durations: self.durations[base.durations.len().min(self.durations.len())..].to_vec(),
-        }
     }
 
     /// The maximum single-query time, or zero if no queries ran.

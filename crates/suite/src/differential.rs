@@ -145,8 +145,8 @@ pub fn check_and_cross_validate(
 }
 
 /// [`check_and_cross_validate`] over a caller-owned persistent [`Engine`]:
-/// repeated calls reuse the engine's warm sums, sessions and verdict
-/// memos. Verdicts and witnesses are identical to the transient path.
+/// repeated calls reuse the engine's warm sums and outcome records.
+/// Verdicts and witnesses are identical to the transient path.
 pub fn check_and_cross_validate_in(
     engine: &mut Engine,
     left: &Automaton,

@@ -23,12 +23,13 @@
 //! The primary entry point is [`prelude::Engine`]: built once from a
 //! typed [`prelude::EngineConfig`] (builder pattern;
 //! `EngineConfig::from_env()` subsumes every `LEAPFROG_*` variable), it
-//! owns the long-lived state — warm per-guard solver sessions, memoized
-//! sums and reachability sets, and the
-//! cross-session instantiation ledger — and answers single queries ([`prelude::Engine::check`]) or
-//! whole batches ([`prelude::Engine::check_batch`]) over the
-//! work-stealing worker pool. Results are byte-identical however a query
-//! is posed: warm, cold, batched or through the legacy wrappers.
+//! owns the long-lived state — memoized sums and reachability sets, one
+//! outcome record per answered query, and the cross-session
+//! instantiation ledger — and answers single queries
+//! ([`prelude::Engine::check`]) or whole batches
+//! ([`prelude::Engine::check_batch`]) over the work-stealing worker pool.
+//! Results are byte-identical however a query is posed: warm, cold,
+//! batched or through the legacy wrappers.
 //!
 //! ```
 //! use leapfrog_repro::prelude::*;
@@ -40,12 +41,12 @@
 //! let mut engine = EngineConfig::new().threads(1).build();
 //! // One-shot…
 //! assert!(engine.check(&a, q, &a, q).is_equivalent());
-//! // …and batched: the repeated specs reuse the warm sessions, sums and
-//! // recorded entailment verdicts.
+//! // …and batched: the repeated specs replay the outcome the one-shot
+//! // check recorded, with no search.
 //! let spec = QuerySpec::new("self", &a, q, &a, q);
 //! let outcomes = engine.check_batch(&[spec.clone(), spec]);
 //! assert!(outcomes.iter().all(|o| o.is_equivalent()));
-//! assert!(engine.last_run_stats().sessions_reused > 0);
+//! assert_eq!(engine.last_run_stats().outcome_replays, 2);
 //! ```
 //!
 //! ## Migrating from `LEAPFROG_*` environment variables

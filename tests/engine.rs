@@ -1,13 +1,19 @@
 //! Integration tests for the persistent `Engine` API: one-shot, cold
 //! engine, warm engine and batch paths must produce byte-identical
-//! certificates and witnesses at every thread count; and warm reuse must
-//! be observable in the stats.
+//! certificates and witnesses at every thread count; and a repeated
+//! query must be an observable outcome replay — in process and across a
+//! save and restart.
 
 use leapfrog::checker::check_language_equivalence;
-use leapfrog::{EngineConfig, Outcome, QuerySpec, RunStats};
+use leapfrog::{Engine, EngineConfig, Outcome, QuerySpec, RunStats};
+use leapfrog_bench::rows::{
+    run_external_filtering_in, run_relational_verification_in, run_row_in,
+    run_translation_validation_in, standard_benchmarks, RowResult,
+};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface::parse;
 use leapfrog_suite::utility::sloppy_strict;
+use leapfrog_suite::Scale;
 
 /// An equivalent pair with distinct state layouts (entailments fire).
 fn chunking_pair() -> (Automaton, StateId, Automaton, StateId) {
@@ -106,35 +112,57 @@ fn witnesses_identical_one_shot_cold_warm_and_batch() {
     }
 }
 
+/// Asserts that a run replayed an outcome record: one replay and no
+/// search at all.
+fn assert_replayed(s: &RunStats) {
+    assert_eq!(s.outcome_replays, 1, "{s:?}");
+    assert_eq!(
+        (
+            s.iterations,
+            s.entailment_checks,
+            s.wp_calls,
+            s.queries.queries
+        ),
+        (0, 0, 0, 0),
+        "a replay does no search: {s:?}"
+    );
+}
+
 #[test]
 fn warm_reuse_is_observable_in_stats() {
     let (a, sa, b, sb) = chunking_pair();
     let mut engine = EngineConfig::new().threads(1).build();
     assert!(engine.check(&a, sa, &b, sb).is_equivalent());
     let cold = engine.last_run_stats().clone();
-    assert_eq!(cold.sessions_reused, 0, "first run is cold: {cold:?}");
+    assert_eq!(cold.outcome_replays, 0, "first run is cold: {cold:?}");
     assert_eq!(cold.sum_cache_hits, 0);
     assert!(cold.entailment_checks > 0);
 
     assert!(engine.check(&a, sa, &b, sb).is_equivalent());
     let warm = engine.last_run_stats().clone();
-    assert!(warm.sessions_reused > 0, "{warm:?}");
+    assert_replayed(&warm);
     assert_eq!(warm.sum_cache_hits, 1, "{warm:?}");
-    assert_eq!(warm.reach_cache_hits, 1, "{warm:?}");
-    assert_eq!(
-        warm.entailment_memo_hits, warm.entailment_checks,
-        "an identical re-check replays every verdict from the memo: {warm:?}"
-    );
-    assert_eq!(
-        warm.queries.queries, 0,
-        "a fully memoized run issues no session queries: {warm:?}"
-    );
+    assert_eq!(warm.extended, cold.extended, "the recorded |R|: {warm:?}");
 
     let engine_stats = engine.stats();
     assert_eq!(engine_stats.checks, 2);
     assert_eq!(engine_stats.pairs_interned, 1);
     assert!(engine_stats.sum_cache_hits >= 1);
-    assert!(engine_stats.sessions_reused > 0);
+    assert_eq!(engine_stats.outcome_replays, 1);
+}
+
+#[test]
+fn refuted_recheck_replays_the_identical_witness() {
+    let (l, ql, r, qr) = refuted_pair();
+    let mut engine = EngineConfig::new().threads(1).build();
+    let cold = witness_text(&engine.check(&l, ql, &r, qr));
+    let cold_stats = engine.last_run_stats().clone();
+    assert_eq!(cold_stats.witnesses_confirmed, 1);
+    let warm = witness_text(&engine.check(&l, ql, &r, qr));
+    assert_eq!(cold, warm, "the re-check returns the identical witness");
+    let warm_stats = engine.last_run_stats();
+    assert_replayed(warm_stats);
+    assert_eq!(warm_stats.extended, cold_stats.extended);
 }
 
 #[test]
@@ -149,11 +177,71 @@ fn batch_on_one_thread_reuses_across_duplicate_specs() {
     ];
     let outcomes = engine.check_batch(&specs);
     assert!(outcomes.iter().all(Outcome::is_equivalent));
+    let members = engine.last_batch_stats();
+    assert_eq!(members[0].outcome_replays, 0);
+    members[1..].iter().for_each(assert_replayed);
     let stats = engine.last_run_stats();
-    assert!(stats.sessions_reused > 0, "{stats:?}");
-    assert!(stats.entailment_memo_hits > 0, "{stats:?}");
+    assert_eq!(stats.outcome_replays, 2, "{stats:?}");
     assert_eq!(stats.sum_cache_hits, 2, "two of three specs intern-hit");
     assert_eq!(engine.stats().batches, 1);
+}
+
+#[test]
+fn every_table2_proof_replays_after_a_restart() {
+    // Every Table-2 row is proven on one engine, which saves its state;
+    // a restarted engine answers each row from its saved certificate,
+    // byte-identical and with no search. A refutation is not saved, so
+    // the restart re-solves it to the same bytes.
+    let dir = std::env::temp_dir().join(format!(
+        "leapfrog-engine-table2-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run_table = |engine: &mut Engine| -> Vec<(RowResult, RunStats)> {
+        let mut rows = Vec::new();
+        let mut keep = |engine: &mut Engine, row: RowResult| {
+            rows.push((row, engine.last_run_stats().clone()));
+        };
+        for bench in standard_benchmarks(Scale::Small) {
+            let row = run_row_in(engine, &bench);
+            keep(engine, row);
+        }
+        let row = run_relational_verification_in(engine);
+        keep(engine, row);
+        let row = run_external_filtering_in(engine);
+        keep(engine, row);
+        let row = run_translation_validation_in(engine, Scale::Small);
+        keep(engine, row);
+        rows
+    };
+    let (l, ql, r, qr) = refuted_pair();
+
+    let mut first = EngineConfig::new().threads(1).build();
+    let cold = run_table(&mut first);
+    let cold_witness = witness_text(&first.check(&l, ql, &r, qr));
+    first.save_state(&dir).unwrap();
+
+    let mut restarted = EngineConfig::new().threads(1).with_state_dir(&dir).build();
+    let warm = run_table(&mut restarted);
+    assert_eq!(cold.len(), warm.len());
+    for ((cold_row, cold_stats), (warm_row, warm_stats)) in cold.iter().zip(&warm) {
+        assert!(cold_row.verified && warm_row.verified, "{}", cold_row.name);
+        assert!(cold_row.certificate.is_some(), "{}", cold_row.name);
+        assert_eq!(
+            cold_row.certificate, warm_row.certificate,
+            "{}",
+            cold_row.name
+        );
+        assert_eq!(cold_stats.outcome_replays, 0, "{}", cold_row.name);
+        assert_replayed(warm_stats);
+        assert_eq!(warm_row.relation_size, cold_row.relation_size);
+    }
+    assert_eq!(witness_text(&restarted.check(&l, ql, &r, qr)), cold_witness);
+    let resolved = restarted.last_run_stats();
+    assert_eq!(resolved.outcome_replays, 0, "{resolved:?}");
+    assert!(resolved.iterations > 0, "{resolved:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -179,8 +267,7 @@ fn batch_members_carry_their_own_stats() {
             s.entailment_checks,
             s.premises_matched,
             s.premises_total,
-            s.entailment_memo_hits,
-            s.sessions_reused,
+            s.outcome_replays,
             s.sum_cache_hits,
             s.reach_cache_hits,
             s.witnesses_confirmed,
