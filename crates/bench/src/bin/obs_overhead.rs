@@ -6,24 +6,25 @@
 //! once with the registry kill-switched off, which turns every counter
 //! write into a single relaxed load-and-branch. Trials interleave the
 //! two configurations and the minimum wall time per configuration is
-//! compared, so scheduler noise inflates both sides equally.
+//! compared, so scheduler noise inflates both sides equally. The binary
+//! exits 1 when the enabled/disabled ratio exceeds `TOLERANCE`.
 //!
 //! ```text
-//! cargo run --release -p leapfrog-bench --bin obs_overhead -- --assert
+//! cargo run --release -p leapfrog-bench --bin obs_overhead
 //! ```
-//!
-//! * `--assert` — exit nonzero when the enabled/disabled ratio exceeds
-//!   the tolerance (CI runs this; without the flag the ratio is only
-//!   reported).
-//! * `LEAPFROG_OBS_TOLERANCE` — maximum allowed ratio (default `1.05`:
-//!   the registry may cost at most 5%).
-//! * `LEAPFROG_OBS_TRIALS` — trials per configuration (default `3`).
 
 use std::time::{Duration, Instant};
 
 use leapfrog::EngineConfig;
 use leapfrog_bench::rows::run_row_in;
 use leapfrog_suite::{standard_benchmarks, Scale};
+
+/// Maximum allowed metrics-on/off runtime ratio: the registry may cost at
+/// most 5%.
+const TOLERANCE: f64 = 1.05;
+
+/// Interleaved trials per configuration.
+const TRIALS: usize = 5;
 
 /// One pass of the whole small-scale table through a fresh engine.
 fn run_table_once() -> Duration {
@@ -38,17 +39,6 @@ fn run_table_once() -> Duration {
 }
 
 fn main() {
-    let assert_mode = std::env::args().any(|a| a == "--assert");
-    let tolerance: f64 = std::env::var("LEAPFROG_OBS_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.05);
-    let trials: usize = std::env::var("LEAPFROG_OBS_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-
     // The guard measures the registry alone: tracing off on both sides
     // (the shipping default), metrics toggled by the kill switch.
     leapfrog_obs::set_trace_enabled(false);
@@ -61,7 +51,7 @@ fn main() {
 
     let mut with_metrics = Duration::MAX;
     let mut without_metrics = Duration::MAX;
-    for trial in 0..trials {
+    for trial in 0..TRIALS {
         leapfrog_obs::set_metrics_enabled(false);
         let off = run_table_once();
         leapfrog_obs::set_metrics_enabled(true);
@@ -75,14 +65,11 @@ fn main() {
     let ratio = with_metrics.as_secs_f64() / without_metrics.as_secs_f64().max(1e-9);
     println!(
         "obs_overhead: min {with_metrics:.2?} with the registry, {without_metrics:.2?} \
-         without — ratio {ratio:.4} (tolerance {tolerance:.2})"
+         without — ratio {ratio:.4} (tolerance {TOLERANCE:.2})"
     );
-    if ratio > tolerance {
-        eprintln!("obs_overhead: registry overhead {ratio:.4} exceeds {tolerance:.2}");
-        if assert_mode {
-            std::process::exit(1);
-        }
-    } else {
-        println!("obs_overhead: within tolerance");
+    if ratio > TOLERANCE {
+        eprintln!("obs_overhead: registry overhead {ratio:.4} exceeds {TOLERANCE:.2}");
+        std::process::exit(1);
     }
+    println!("obs_overhead: within tolerance");
 }

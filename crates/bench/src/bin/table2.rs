@@ -26,8 +26,11 @@
 //! Every run appends one snapshot line (commit, timestamp, scale, cores,
 //! per-row runtimes, registry counters) to `BENCH_history.jsonl` — the
 //! persisted perf trajectory. A query always runs on one thread; the
-//! parallel axis is across queries (`batch_parallel_speedup` here,
-//! `fleet_bench`'s snapshots for the daemon). Tracing is on by default
+//! parallel axis is across queries. On a host with ≥ 2 cores each run
+//! times the standard table through `Engine::check_batch` at 1 and 4
+//! threads, fails on a batched verdict that disagrees with the row's
+//! expectation, and records the ratio as `batch_parallel_speedup`
+//! (`null` on one core). Tracing is on by default
 //! so the emitted rows carry a per-phase time breakdown
 //! (`LEAPFROG_TRACE=0` disables).
 //!
@@ -48,14 +51,6 @@
 //!   5 comparable snapshots): total runtime above 2× the baseline, or the
 //!   best warm speedup collapsing below 1.0 when the baseline held it at
 //!   ≥ 1.0 (CI runs this).
-//! * `--batch` — additionally pre-run the whole standard table through
-//!   `Engine::check_batch` (the serving API) on an engine of its own, so
-//!   the measured rows still search cold; any batched verdict disagreeing
-//!   with the per-row expectation fails
-//!   (CI runs `--smoke --batch`). The 1-vs-4-thread cold-engine
-//!   `batch_parallel_speedup` measurement itself no longer needs the
-//!   flag: it runs whenever the host has ≥ 2 cores, and the JSON records
-//!   `cores` so a `null` ratio is readable as "single-core host".
 //! * `LEAPFROG_BENCH_HISTORY=path` — where the trajectory lives (default
 //!   `BENCH_history.jsonl`).
 //! * `LEAPFROG_WITNESS_CORPUS=path` — where the witness regression corpus
@@ -141,7 +136,6 @@ fn measure(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let batch_mode = std::env::args().any(|a| a == "--batch");
     let scale = if smoke {
         Scale::Small
     } else {
@@ -174,30 +168,19 @@ fn main() {
     };
 
     println!(
-        "Leapfrog-rs — Table 2 reproduction (scale: {scale:?}, batch threads: {}, engine: persistent{})",
+        "Leapfrog-rs — Table 2 reproduction (scale: {scale:?}, batch threads: {}, engine: persistent)",
         engine.config().effective_threads(),
-        if batch_mode { ", batch pre-pass" } else { "" },
     );
 
-    // Batch mode: the serving API first. The whole standard table runs
-    // through `check_batch` on dedicated cold engines at 1 and 4 worker
-    // threads — the cross-query parallel axis, recorded as
-    // `batch_parallel_speedup` (wall-clock t1/t4; ~1.0 on a single-core
-    // container, a real win on multi-core CI runners). Then the same rows
-    // go through one more batch on an engine of their own: on the
-    // table-wide engine every measured row would replay the batch's
-    // outcome records and report no search at all.
+    // The serving API first, on cold engines of its own, so the
+    // table-wide engine's rows below still search cold.
     let mut batch_parallel_speedup = None;
-    let batch_benches = standard_benchmarks(scale);
-    let batch_specs: Vec<QuerySpec> = batch_benches
-        .iter()
-        .map(|b| QuerySpec::new(b.name, &b.left, b.left_start, &b.right, b.right_start))
-        .collect();
-    // The parallel-axis measurement runs whenever it is meaningful: with
-    // at least 2 cores the 1-vs-4-thread ratio is real even without
-    // `--batch`, so local multi-core runs record it rather than emitting
-    // `null` (single-core hosts report it as not measurable instead).
-    if batch_mode || cores >= 2 {
+    if cores >= 2 {
+        let batch_benches = standard_benchmarks(scale);
+        let batch_specs: Vec<QuerySpec> = batch_benches
+            .iter()
+            .map(|b| QuerySpec::new(b.name, &b.left, b.left_start, &b.right, b.right_start))
+            .collect();
         let mut time_batch = |threads: usize| {
             let mut cold = Engine::new(EngineConfig::from_env().threads(threads));
             let start = std::time::Instant::now();
@@ -227,30 +210,6 @@ fn main() {
     } else {
         println!("Batch parallel axis: not measurable on {cores} core(s)");
     }
-    if batch_mode {
-        let benches = &batch_benches;
-        let specs = &batch_specs;
-        let mut engine = Engine::new(EngineConfig::from_env());
-        let outcomes = engine.check_batch(specs);
-        for (bench, outcome) in benches.iter().zip(&outcomes) {
-            if outcome.is_equivalent() != bench.expect_equivalent {
-                failures.push(format!(
-                    "batch verdict mismatch for \"{}\": got {outcome:?}",
-                    bench.name
-                ));
-            }
-        }
-        let stats = engine.last_run_stats();
-        println!(
-            "Batch pre-pass: {} queries through check_batch (batch workers: {}, \
-             entailment checks: {}, wall: {:.2?})",
-            outcomes.len(),
-            engine.config().effective_threads(),
-            stats.entailment_checks,
-            stats.wall_time,
-        );
-    }
-
     println!(
         "{:<26} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8} {:>6} {:>9} {:>7} {:>8} {:>10}",
         "Name",
@@ -530,9 +489,8 @@ fn main() {
     // cannot silently become its own baseline.
     let history_path = std::env::var("LEAPFROG_BENCH_HISTORY")
         .unwrap_or_else(|_| "BENCH_history.jsonl".to_string());
-    let current =
-        HistorySnapshot::capture(scale, cores, batch_mode, &measured, batch_parallel_speedup);
-    let prior = load_history(&history_path, &format!("{scale:?}"), batch_mode);
+    let current = HistorySnapshot::capture(scale, cores, &measured, batch_parallel_speedup);
+    let prior = load_history(&history_path, &format!("{scale:?}"));
     match append_history(&history_path, &current) {
         Ok(()) => println!(
             "Appended snapshot to {history_path} ({} comparable prior run(s))",
@@ -608,7 +566,7 @@ fn main() {
     // The parallel-axis measurement must land in the JSON whenever the
     // host can measure it; a single-core host legitimately reports null.
     if batch_parallel_speedup.is_none() {
-        if batch_mode || cores >= 2 {
+        if cores >= 2 {
             failures.push(format!(
                 "batch_parallel_speedup missing despite {cores} core(s)"
             ));
@@ -649,7 +607,6 @@ struct HistorySnapshot {
     unix_time: u64,
     scale: String,
     cores: usize,
-    batch_mode: bool,
     total_runtime_secs: f64,
     best_warm_speedup: Option<f64>,
     batch_parallel_speedup: Option<f64>,
@@ -666,7 +623,6 @@ impl HistorySnapshot {
     fn capture(
         scale: Scale,
         cores: usize,
-        batch_mode: bool,
         measured: &[(RowResult, Option<usize>)],
         batch_parallel_speedup: Option<f64>,
     ) -> HistorySnapshot {
@@ -687,7 +643,6 @@ impl HistorySnapshot {
             unix_time,
             scale: format!("{scale:?}"),
             cores,
-            batch_mode,
             total_runtime_secs: measured.iter().map(|(r, _)| r.runtime.as_secs_f64()).sum(),
             best_warm_speedup: measured
                 .iter()
@@ -723,7 +678,6 @@ impl HistorySnapshot {
             ("unix_time", json::num(self.unix_time as usize)),
             ("scale", Value::Str(self.scale.clone())),
             ("cores", json::num(self.cores)),
-            ("batch_mode", Value::Bool(self.batch_mode)),
             ("total_runtime_secs", Value::Num(self.total_runtime_secs)),
             ("best_warm_speedup", opt(self.best_warm_speedup)),
             ("batch_parallel_speedup", opt(self.batch_parallel_speedup)),
@@ -750,10 +704,9 @@ impl HistorySnapshot {
     }
 }
 
-/// Loads the prior snapshots comparable to this run (same scale and
-/// batch-mode flag); malformed lines are skipped, a missing file is an
-/// empty history.
-fn load_history(path: &str, scale: &str, batch_mode: bool) -> Vec<PriorRun> {
+/// Loads the prior snapshots comparable to this run (same scale);
+/// malformed lines are skipped, a missing file is an empty history.
+fn load_history(path: &str, scale: &str) -> Vec<PriorRun> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -768,10 +721,6 @@ fn load_history(path: &str, scale: &str, batch_mode: bool) -> Vec<PriorRun> {
                 .ok()
                 .and_then(|s| json::as_str(s).ok())
                 == Some(scale)
-                && json::get(v, "batch_mode")
-                    .ok()
-                    .and_then(|b| json::as_bool(b).ok())
-                    == Some(batch_mode)
         })
         .filter_map(|v| {
             Some(PriorRun {

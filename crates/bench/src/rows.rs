@@ -1,15 +1,14 @@
 //! Row runners: one function per Table 2 row, returning the measured
-//! columns. Shared by the `table2` binary and the criterion benches.
+//! columns. Shared by the `table2` and `obs_overhead` binaries.
 //!
-//! Every runner drives a caller-owned persistent [`Engine`] (the `_in`
-//! forms); the plain forms are compat wrappers over a transient one. The
-//! `table2` binary runs each row twice through one long-lived engine, so
-//! the emitted rows carry warm-vs-cold columns (`warm_speedup`,
+//! Every runner drives a caller-owned persistent [`Engine`]. The `table2`
+//! binary runs each row twice through one long-lived engine, so the
+//! emitted rows carry warm-vs-cold columns (`warm_speedup`,
 //! `outcome_replays`, `sum_cache_hits`).
 
 use std::time::{Duration, Instant};
 
-use leapfrog::{Engine, EngineConfig, Options, Outcome, RunStats};
+use leapfrog::{Engine, Outcome, RunStats};
 use leapfrog_obs::PhaseBreakdown;
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_suite::applicability;
@@ -146,20 +145,6 @@ pub fn run_row_in(engine: &mut Engine, bench: &Benchmark) -> RowResult {
     )
 }
 
-/// A transient engine answering queries of shape `options`, its other
-/// knobs from the environment.
-fn transient(options: Options) -> Engine {
-    Engine::new(EngineConfig {
-        options,
-        ..EngineConfig::from_env()
-    })
-}
-
-/// [`run_row_in`] over a transient engine configured from `options`.
-pub fn run_row(bench: &Benchmark, options: Options) -> RowResult {
-    run_row_in(&mut transient(options), bench)
-}
-
 /// The external-filtering row: sloppy vs strict modulo an EtherType filter
 /// (§7.1), posed by replacing the initial relation.
 pub fn run_external_filtering_in(engine: &mut Engine) -> RowResult {
@@ -185,11 +170,6 @@ pub fn run_external_filtering_in(engine: &mut Engine) -> RowResult {
     )
 }
 
-/// [`run_external_filtering_in`] over a transient engine.
-pub fn run_external_filtering(options: Options) -> RowResult {
-    run_external_filtering_in(&mut transient(options))
-}
-
 /// The relational-verification row: store correspondence at acceptance
 /// (§7.1), posed by replacing the initial relation.
 pub fn run_relational_verification_in(engine: &mut Engine) -> RowResult {
@@ -212,11 +192,6 @@ pub fn run_relational_verification_in(engine: &mut Engine) -> RowResult {
         &outcome,
         true,
     )
-}
-
-/// [`run_relational_verification_in`] over a transient engine.
-pub fn run_relational_verification(options: Options) -> RowResult {
-    run_relational_verification_in(&mut transient(options))
 }
 
 /// The automaton pair the translation-validation row checks: the Edge
@@ -251,11 +226,6 @@ pub fn run_translation_validation_in(engine: &mut Engine, scale: Scale) -> RowRe
     )
 }
 
-/// [`run_translation_validation_in`] over a transient engine.
-pub fn run_translation_validation(scale: Scale, options: Options) -> RowResult {
-    run_translation_validation_in(&mut transient(options), scale)
-}
-
 /// All six utility rows plus the applicability self-comparisons at the
 /// given scale (without translation validation, which needs the hwgen
 /// pipeline and is run separately). Re-exported from the suite, where the
@@ -267,10 +237,10 @@ pub use leapfrog_suite::standard_benchmarks;
 /// a row with its peak heap measurement, when one was taken.
 /// `batch_parallel_speedup` is the whole-table `check_batch` wall-clock
 /// ratio at 1 vs 4 worker threads — the cross-query parallel axis. It is
-/// measured whenever the host has ≥ 2 cores (or `--batch` forces it);
-/// `cores` records the host parallelism so a `null` ratio is readable as
-/// "not measurable here" rather than "missing". `mutants` lists the
-/// refuted mutant pairs, one entry each.
+/// measured whenever the host has ≥ 2 cores; `cores` records the host
+/// parallelism so a `null` ratio is readable as "not measurable here"
+/// rather than "missing". `mutants` lists the refuted mutant pairs, one
+/// entry each.
 pub fn rows_to_json(
     rows: &[(RowResult, Option<usize>)],
     mutants: &[MutantResult],
@@ -424,11 +394,12 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leapfrog::EngineConfig;
 
     #[test]
     fn state_rearrangement_row_verifies() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let row = run_row(&bench, Options::default());
+        let row = run_row_in(&mut EngineConfig::from_env().build(), &bench);
         assert!(row.verified, "state rearrangement must verify");
         assert!(row.queries > 0);
         assert!(row.wp_generated > 0);
@@ -447,7 +418,7 @@ mod tests {
     #[test]
     fn rows_json_carries_pipeline_fields() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let mut row = run_row(&bench, Options::default());
+        let mut row = run_row_in(&mut EngineConfig::from_env().build(), &bench);
         row.warm_speedup = Some(2.0);
         row.certcheck_secs = Some(0.125);
         row.certcheck = Some(leapfrog_certcheck::CheckStats {
@@ -503,7 +474,7 @@ mod tests {
     #[test]
     fn oracle_counters_populated_and_bounded() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let row = run_row(&bench, Options::default());
+        let row = run_row_in(&mut EngineConfig::from_env().build(), &bench);
         assert!(row.cegar_rounds > 0, "CEGAR must run on this row");
         assert!(
             row.blocks_validated <= row.blocks_considered,
@@ -517,7 +488,7 @@ mod tests {
     #[test]
     fn refuted_row_carries_its_witness() {
         let mutant = &leapfrog_suite::mutants::mutant_benchmarks()[0];
-        let row = run_row(mutant, Options::default());
+        let row = run_row_in(&mut EngineConfig::from_env().build(), mutant);
         assert!(row.verified, "the mutant is expected inequivalent");
         let w = row.witness.as_ref().expect("confirmed witness on the row");
         assert!(w.check());
@@ -529,7 +500,8 @@ mod tests {
 
     #[test]
     fn speculative_loop_row_verifies() {
-        let row = run_row(&mpls::mpls_benchmark(), Options::default());
+        let bench = mpls::mpls_benchmark();
+        let row = run_row_in(&mut EngineConfig::from_env().build(), &bench);
         assert!(row.verified);
         assert!(row.relation_size > 0);
     }

@@ -55,15 +55,6 @@ impl Default for Options {
     }
 }
 
-/// What a run establishes. Currently only language equivalence carries a
-/// dedicated constructor; relational properties are posed by extending the
-/// initial relation (see [`Checker::add_init_condition`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Property {
-    /// `L(q₁, s₁) = L(q₂, s₂)` for all initial stores `s₁`, `s₂`.
-    LanguageEquivalence,
-}
-
 /// The result of a run.
 #[derive(Debug, Clone)]
 pub enum Outcome {

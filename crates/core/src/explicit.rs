@@ -6,8 +6,8 @@
 //! implements exactly that naive approach — a breadth-first product
 //! construction over *concrete* configurations (Hopcroft–Karp without the
 //! union-find, which changes constants, not the explosion) — so the claim
-//! can be measured rather than asserted (see the `explicit_baseline`
-//! bench).
+//! can be measured rather than asserted (the `ablation` binary in
+//! `leapfrog-bench` gates its exact pair counts as a header widens).
 //!
 //! Because enumerating initial stores is itself exponential, the baseline
 //! checks equivalence *for two fixed initial stores* (defaulting to

@@ -85,7 +85,7 @@ pub mod json;
 pub mod stats;
 
 pub use certificate::{Certificate, CertificateError};
-pub use checker::{Checker, Options, Outcome, Property};
+pub use checker::{Checker, Options, Outcome};
 pub use engine::{
     route_fingerprint, Engine, EngineConfig, EngineStats, PairId, QueryRequest, QuerySpec,
 };

@@ -1,5 +1,5 @@
 //! Packet workload generation: random valid and adversarial packets for
-//! a parser, used by differential tests and the substrate benchmarks.
+//! a parser, used by differential tests.
 //!
 //! The walking/steering machinery itself lives in [`leapfrog_p4a::walk`]
 //! so the counterexample witness engine (`leapfrog-cex`) can reuse it
